@@ -9,9 +9,21 @@ trained network: per layer each message row becomes
                            + w_entity * mean(entity neighbors))
 
 where the user neighborhood is the other messages by the same author and
-the entity neighborhood is the other messages sharing at least one entity.
-Empty neighborhoods contribute zero, so isolated messages degrade to their
-own normalized embedding.
+the entity neighborhood is the other messages sharing at least one entity,
+each counted once. Empty neighborhoods contribute zero, so isolated
+messages degrade to their own normalized embedding.
+
+``fuse`` computes the means as group sums rather than per message. Every
+message gets two group ids once: its author, and its case-folded entity
+set (messages with equal sets form one group). A layer sums the rows of
+each group with one sort and ``np.add.reduceat``. The user mean is the
+author's sum minus the message's own row, over the count minus one. The
+entity mean is the sum over the message's reach, every entity-set group
+that shares an entity with its group, minus the own row, over that count
+minus one; groups partition the messages, so each neighbor counts once.
+Reach sums come from the group x entity incidence (see ``_EntityReach``),
+never from a group x group matrix. A layer costs time linear in messages
+plus entity-group reach, times the embedding dim.
 """
 
 from __future__ import annotations
@@ -145,9 +157,141 @@ def neighborhood(graph: HeteroGraph, message_id: str):
     return user_linked, sorted(entity_linked)
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
+def _segment_sums(values: np.ndarray, segment: np.ndarray,
+                  num_segments: int) -> np.ndarray:
+    """Row sums of ``values`` per segment; ``segment`` is sorted and holds
+    the segment id of each row. Empty segments sum to zero."""
+    out = np.zeros((num_segments, values.shape[1]))
+    if segment.size:
+        starts = np.flatnonzero(np.diff(segment, prepend=-1))
+        out[segment[starts]] = np.add.reduceat(values, starts, axis=0)
+    return out
+
+
+def _dense_ids(keys) -> np.ndarray:
+    """Group id per key, numbered in order of first appearance."""
+    index: dict = {}
+    return np.array([index.setdefault(k, len(index)) for k in keys],
+                    dtype=np.intp)
+
+
+class _Groups:
+    """Messages partitioned by a dense group id, sorted once so that the
+    per-group row sums are one gather plus one ``np.add.reduceat``."""
+
+    def __init__(self, ids: np.ndarray):
+        self.order = np.argsort(ids, kind="stable")
+        self.sorted_ids = ids[self.order]
+        self.counts = np.bincount(ids)
+
+    def sums(self, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        rows = np.take(x, self.order, axis=0, out=buf)
+        return _segment_sums(rows, self.sorted_ids, self.counts.size)
+
+
+def _pairs_within(segment: np.ndarray, strict: bool):
+    """Positions (i, j) of every two entries of one segment, where
+    ``segment`` is sorted. With ``strict`` only j > i, else every ordered
+    pair, i == j included."""
+    counts = np.bincount(segment)
+    first = np.cumsum(counts) - counts
+    start = np.arange(segment.size) + 1 if strict else first[segment]
+    lengths = (first + counts)[segment] - start
+    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths,
+                                                   lengths)
+    return np.repeat(np.arange(segment.size), lengths), \
+        np.repeat(start, lengths) + offsets
+
+
+class _EntityReach:
+    """Sums over the reach of each entity-set group: every group whose set
+    shares at least one entity with it, itself included, each once.
+
+    With A the group x entity incidence, A (A^T v) adds, for each entity
+    of a group, the groups that mention it, so a group sharing k entities
+    is added k times. Two groups sharing k >= 2 entities share C(k, 2)
+    entity pairs, which is how they are found, and the k - 1 extra copies
+    are subtracted. Time and memory are linear in the incidence plus the
+    (group, group, shared entity pair) triples; no group x group matrix is
+    built, and a hub entity alone adds only its incidence. Entity keys are
+    visited sorted, so the summation order does not depend on string
+    hashing."""
+
+    def __init__(self, entity_sets):
+        self.num_groups = len(entity_sets)
+        entity_ids: dict[str, int] = {}
+        self.group = np.repeat(np.arange(self.num_groups),
+                               [len(keys) for keys in entity_sets])
+        self.entity = np.array([entity_ids.setdefault(k, len(entity_ids))
+                                for keys in entity_sets for k in keys],
+                               dtype=np.intp)
+        self.num_entities = len(entity_ids)
+        by_entity = np.argsort(self.entity, kind="stable")
+        self.entity_sorted = self.entity[by_entity]
+        self.group_by_entity = self.group[by_entity]
+
+        i, j = _pairs_within(self.group, strict=True)
+        lo = np.minimum(self.entity[i], self.entity[j])
+        hi = np.maximum(self.entity[i], self.entity[j])
+        _, pair = np.unique(lo * self.num_entities + hi, return_inverse=True)
+        by_pair = np.argsort(pair, kind="stable")
+        pair_group = self.group[i][by_pair]
+        a, b = _pairs_within(pair[by_pair], strict=False)
+        codes, shared_pairs = np.unique(
+            pair_group[a] * self.num_groups + pair_group[b], return_counts=True)
+        extra = (np.rint(np.sqrt(8 * shared_pairs + 1)).astype(np.intp) - 1) // 2
+        self.extra_group, self.extra_partner = np.divmod(
+            np.repeat(codes, extra), max(self.num_groups, 1))
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        per_entity = _segment_sums(values[self.group_by_entity],
+                                   self.entity_sorted, self.num_entities)
+        out = _segment_sums(per_entity[self.entity], self.group, self.num_groups)
+        out -= _segment_sums(values[self.extra_partner], self.extra_group,
+                             self.num_groups)
+        return out
+
+
+def _add_neighbor_mean(out, buf, sums, group_of, size, x, weight) -> None:
+    """out += weight * (sums[group_of] - x) / size, skipping rows whose
+    neighborhood size is 0."""
+    np.take(sums, group_of, axis=0, out=buf)
+    buf -= x
+    buf /= np.maximum(size, 1)[:, None]
+    buf *= np.where(size > 0, weight, 0.0)[:, None]
+    out += buf
+
+
+def _fused_rows(graph: HeteroGraph, ids: list[str], x: np.ndarray,
+                params: FusionParams) -> np.ndarray:
+    """The float64 aggregation of ``fuse`` over rows ``x`` aligned to
+    ``ids``."""
+    if len(graph.message_ids) != len(ids):
+        raise ValueError("graph and corpus hold different messages")
+    user_of = _dense_ids(graph.message_user[mid] for mid in ids)
+    entity_keys = [tuple(sorted(graph.message_entities[mid])) for mid in ids]
+    set_of = _dense_ids(entity_keys)
+    users, sets = _Groups(user_of), _Groups(set_of)
+    reach = _EntityReach(list(dict.fromkeys(entity_keys)))
+    user_size = users.counts[user_of] - 1
+    # Exact: the counts are integers far below 2**53.
+    reach_counts = reach.sums(sets.counts[:, None].astype(np.float64))[:, 0]
+    entity_size = reach_counts.astype(np.intp)[set_of] - 1
+
+    buf = np.empty_like(x)
+    for _ in range(params.layers):
+        user_sums = users.sums(x, buf)
+        entity_sums = reach.sums(sets.sums(x, buf))
+        out = params.w_self * x
+        _add_neighbor_mean(out, buf, user_sums, user_of, user_size, x,
+                           params.w_user)
+        _add_neighbor_mean(out, buf, entity_sums, set_of, entity_size, x,
+                           params.w_entity)
+        norms = np.linalg.norm(out, axis=1, keepdims=True)
+        np.divide(out, norms, out=out, where=norms > 0)
+        out[norms[:, 0] == 0] = 0.0
+        x = out
+    return x
 
 
 def fuse(graph: HeteroGraph, message_emb: EmbeddingMatrix, corpus: Corpus,
@@ -164,24 +308,7 @@ def fuse(graph: HeteroGraph, message_emb: EmbeddingMatrix, corpus: Corpus,
                          "(use ingest.attach_embeddings)")
     x = np.concatenate(
         [message_emb.values.astype(np.float64), temporal_features(corpus)], axis=1)
-
-    row_of = {mid: i for i, mid in enumerate(ids)}
-    user_nbrs = []
-    entity_nbrs = []
-    for mid in ids:
-        u, e = neighborhood(graph, mid)
-        user_nbrs.append(np.array([row_of[m] for m in u], dtype=np.intp))
-        entity_nbrs.append(np.array([row_of[m] for m in e], dtype=np.intp))
-
-    for _ in range(params.layers):
-        out = params.w_self * x
-        for i in range(len(ids)):
-            if user_nbrs[i].size:
-                out[i] += params.w_user * x[user_nbrs[i]].mean(axis=0)
-            if entity_nbrs[i].size:
-                out[i] += params.w_entity * x[entity_nbrs[i]].mean(axis=0)
-        x = _normalize_rows(out)
-    return EmbeddingMatrix(ids, x)
+    return EmbeddingMatrix(ids, _fused_rows(graph, ids, x, params))
 
 
 def user_vectors(graph: HeteroGraph, aligned: AlignedDataset) -> EmbeddingMatrix:

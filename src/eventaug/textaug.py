@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from .core import Message, Origin, SplitSpec, split
 from .ingest import Corpus
 
-TEMPLATE_VERSION = "1"
-
 SOURCE_OPEN = "<<<"
 SOURCE_CLOSE = ">>>"
 
@@ -168,29 +166,35 @@ _REWRITE_STEP = ("Step 2: rewrite the message as a new, differently worded "
                  "only.")
 
 
-def render_prompt(strategy: Strategy, message: Message) -> str:
+def render_prompt(strategy: Strategy, message: Message, copy_idx: int = 0) -> str:
     """Deterministic template fill for the given strategy.
 
     The source text always sits between the <<< and >>> markers.
     keep-entity prompts list the message entities verbatim in a
     do-not-change section; extract-rewrite prompts carry both the
-    extraction and the rewrite instruction.
+    extraction and the rewrite instruction. Copy ``copy_idx`` >= 1 adds a
+    line asking for that numbered variant, so each copy is its own
+    request; copy 0 is the plain prompt.
     """
     if not message.text.strip():
         raise ValueError("cannot augment an empty message")
-    source = f"Message: {SOURCE_OPEN}{message.text}{SOURCE_CLOSE}"
     if strategy.kind in _SINGLE_STAGE:
-        return "\n".join([_PREAMBLE, _SINGLE_STAGE[strategy.kind], source])
-    if strategy.kind == "keep_entity":
+        lines = [_PREAMBLE, _SINGLE_STAGE[strategy.kind]]
+    elif strategy.kind == "keep_entity":
         entities = ", ".join(message.entities) if message.entities else "(none)"
-        instruction = ("Rewrite the message below with different wording. "
-                       "The following entities must remain unchanged and "
-                       f"appear verbatim in your rewrite: {entities}.")
-        return "\n".join([_PREAMBLE, instruction, source])
-    if strategy.kind == "extract_rewrite":
-        return "\n".join([_PREAMBLE, _EXTRACT_STEP[strategy.variant],
-                          _REWRITE_STEP, source])
-    raise ValueError(f"unhandled strategy {strategy!r}")
+        lines = [_PREAMBLE,
+                 "Rewrite the message below with different wording. "
+                 "The following entities must remain unchanged and "
+                 f"appear verbatim in your rewrite: {entities}."]
+    elif strategy.kind == "extract_rewrite":
+        lines = [_PREAMBLE, _EXTRACT_STEP[strategy.variant], _REWRITE_STEP]
+    else:
+        raise ValueError(f"unhandled strategy {strategy!r}")
+    if copy_idx > 0:
+        lines.append(f"Write variant number {copy_idx + 1}, worded differently "
+                     "from the other variants.")
+    lines.append(f"Message: {SOURCE_OPEN}{message.text}{SOURCE_CLOSE}")
+    return "\n".join(lines)
 
 
 _FENCE = re.compile(r"^```[a-zA-Z0-9]*\n(.*?)\n?```$", re.DOTALL)
@@ -324,10 +328,15 @@ class ResponseCache:
         return os.path.join(self.directory, f"{key}.json")
 
     def get(self, key: str) -> AugmentationRecord | None:
+        """The stored record, or None on a miss. A file that is truncated,
+        not JSON or not a record also counts as a miss; the next ``put``
+        of that key replaces it."""
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
                 return AugmentationRecord.from_dict(json.load(fh))
         except FileNotFoundError:
+            return None
+        except (ValueError, TypeError):  # JSON or UTF-8 decoding, bad fields
             return None
 
     def put(self, record: AugmentationRecord) -> None:
@@ -338,12 +347,12 @@ class ResponseCache:
         os.replace(tmp, path)
 
 
-def cache_key(strategy: Strategy, source_text: str) -> str:
-    """Stable hash of (strategy descriptor, template version, source text).
-    Template wording changes bump TEMPLATE_VERSION and so invalidate the
-    cache."""
-    blob = json.dumps([strategy.cli_name, TEMPLATE_VERSION, source_text],
-                      ensure_ascii=False)
+def cache_key(prompt: str, model: str, copy_idx: int) -> str:
+    """Stable hash of (rendered prompt, model name, copy index). The
+    prompt carries the strategy, the template wording, the source text
+    and, for keep-entity, the entity list, so a change to any of them, or
+    another model, misses the cache."""
+    blob = json.dumps([prompt, model, copy_idx], ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -389,11 +398,11 @@ def _run_task(task, provider, cache, model_name):
     Failures are (source_id, strategy, reason, kind) with kind in
     {"provider", "rejected"}."""
     message, strategy, copy_idx, new_id = task
-    key = cache_key(strategy, message.text)
+    prompt = render_prompt(strategy, message, copy_idx)
+    key = cache_key(prompt, model_name, copy_idx)
     record = cache.get(key) if cache is not None else None
     called = False
     if record is None:
-        prompt = render_prompt(strategy, message)
         started = time.perf_counter()
         called = True
         try:

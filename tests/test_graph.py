@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from eventaug.core import EmbeddingMatrix
-from eventaug.graph import (FusionParams, build_graph, entity_vectors, fuse,
-                            neighborhood, user_vectors)
+from eventaug import graph as graphmod
+from eventaug.graph import (FusionParams, _fused_rows, build_graph,
+                            entity_vectors, fuse, neighborhood, user_vectors)
+from eventaug.ingest import temporal_features
 from eventaug.ingest import AlignedDataset, Corpus
 
 from conftest import make_message
@@ -51,6 +53,39 @@ def oracle_fuse(corpus, emb_values, params):
             new_rows.append([a / norm for a in acc] if norm > 0 else acc)
         rows = new_rows
     return np.array(rows)
+
+
+def random_fusion_case(seed):
+    """Seeded corpus of 40-80 messages with hub entities, case variants of
+    one entity (also inside a single message), messages without entities,
+    users with a single message and pairs of messages sharing two
+    entities; returns (corpus, float32 embedding values)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 81))
+    pool = ["Storm", "storm", "STORM", "Flood", "Sydney", "Bondi", "Perth",
+            "Fire", "Smoke", "Road"]
+    fixed = [["Storm", "Flood"], ["flood", "storm"], ["Storm", "storm"],
+             [], ["Sydney"]]
+    messages = []
+    for i in range(n):
+        if i < len(fixed):
+            ents = fixed[i]
+        else:
+            ents = [str(e) for e in rng.choice(pool, size=int(rng.integers(0, 4)))]
+            if rng.random() < 0.4:
+                ents.append(str(rng.choice(["Hub", "hub"])))
+        # users 0-5 are shared; every fifth message gets a user of its own
+        user = f"solo{i}" if i % 5 == 4 else f"u{int(rng.integers(6))}"
+        messages.append(make_message(f"m{i:02d}", user=user,
+                                     ts=1_600_000_000 + int(rng.integers(10 ** 6)),
+                                     entities=ents))
+    values = rng.normal(size=(n, 4)).astype(np.float32)
+    return Corpus(messages=tuple(messages)), values
+
+
+FUSION_PARAMS = [FusionParams(), FusionParams(layers=2),
+                 FusionParams(w_self=0.7, w_user=1.3, w_entity=0.2, layers=1),
+                 FusionParams(w_self=1.0, w_user=0.0, w_entity=2.5, layers=2)]
 
 
 class TestBuildGraph:
@@ -131,6 +166,38 @@ class TestFuse:
         fused = fuse(build_graph(corpus), emb, corpus, params)
         expected = oracle_fuse(corpus, values, params)
         assert np.abs(fused.values - expected).max() < 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("params", FUSION_PARAMS,
+                             ids=["default", "layers2", "weights", "weights-layers2"])
+    def test_matches_brute_force_oracle_seeded(self, seed, params):
+        corpus, values = random_fusion_case(seed)
+        emb = EmbeddingMatrix(corpus.ids(), values)
+        fused = fuse(build_graph(corpus), emb, corpus, params)
+        expected = oracle_fuse(corpus, values, params)
+        assert np.abs(fused.values - expected).max() < 1e-6
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_float64_rows_match_oracle_to_1e12(self, seed):
+        corpus, values = random_fusion_case(seed)
+        x = np.concatenate([values.astype(np.float64),
+                            temporal_features(corpus)], axis=1)
+        params = FusionParams(w_self=0.9, w_user=0.6, w_entity=0.4, layers=2)
+        rows = _fused_rows(build_graph(corpus), corpus.ids(), x, params)
+        assert np.abs(rows - oracle_fuse(corpus, values, params)).max() < 1e-12
+
+    def test_does_not_query_neighborhoods(self, graph_corpus, graph_embeddings,
+                                          monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fuse must not query neighborhoods one by one")
+        monkeypatch.setattr(graphmod, "neighborhood", refuse)
+        fused = fuse(build_graph(graph_corpus), graph_embeddings, graph_corpus)
+        assert fused.rows == 5
+
+    def test_graph_of_other_corpus_rejected(self, graph_corpus, graph_embeddings):
+        smaller = Corpus(messages=graph_corpus.messages[:4])
+        with pytest.raises(ValueError):
+            fuse(build_graph(smaller), graph_embeddings, graph_corpus)
 
     def test_rows_unit_norm(self, graph_corpus, graph_embeddings):
         fused = fuse(build_graph(graph_corpus), graph_embeddings, graph_corpus)

@@ -206,13 +206,80 @@ class TestAugmentCorpus:
         result = augment_corpus(small_corpus(3), [PARAPHRASE], EchoProvider())
         assert result.generated == 3
 
+    def test_each_copy_is_its_own_request(self, tmp_path):
+        corpus = small_corpus(3)
+        provider = CountingProvider(ShuffleProvider())
+        result = augment_corpus(corpus, [PARAPHRASE, KEEP_ENTITY], provider,
+                                cache_dir=tmp_path / "c", copies_per_strategy=3)
+        # 3 provider calls per (message, strategy), none served from the cache
+        assert provider.calls == 3 * 2 * 3
+        assert (result.provider_calls, result.cache_hits) == (18, 0)
+        copies = {}
+        for m in result.corpus.messages:
+            if m.origin is not None:
+                copies.setdefault((m.origin.source_id, m.origin.strategy),
+                                  set()).add(m.text)
+        assert len(copies) == 6
+        assert all(len(texts) > 1 for texts in copies.values())
+
+    def test_copy_zero_matches_single_copy_run(self, tmp_path):
+        corpus = small_corpus(4)
+        one = augment_corpus(corpus, [PARAPHRASE], ShuffleProvider(),
+                             cache_dir=tmp_path / "a")
+        three = augment_corpus(corpus, [PARAPHRASE], ShuffleProvider(),
+                               cache_dir=tmp_path / "b", copies_per_strategy=3)
+        texts = {m.id: m.text for m in three.corpus.messages}
+        for m in one.corpus.messages:
+            assert texts[m.id] == m.text
+
+    def test_other_model_misses_the_cache(self, tmp_path):
+        corpus = small_corpus(5)
+        augment_corpus(corpus, [PARAPHRASE], ShuffleProvider(),
+                       cache_dir=tmp_path / "c", model_name="model-a")
+        provider = CountingProvider(EchoProvider())
+        rerun = augment_corpus(corpus, [PARAPHRASE], provider,
+                               cache_dir=tmp_path / "c", model_name="model-b")
+        assert provider.calls == 5
+        assert (rerun.provider_calls, rerun.cache_hits) == (5, 0)
+        for m in rerun.corpus.messages:
+            if m.origin is not None:  # the echo texts, not model-a's
+                assert m.text == corpus.messages[int(m.origin.source_id[1:])].text
+
+    def test_truncated_cache_file_is_a_miss(self, tmp_path):
+        corpus = small_corpus(4)
+        cache_dir = tmp_path / "c"
+        first = augment_corpus(corpus, [PARAPHRASE], EchoProvider(),
+                               cache_dir=cache_dir)
+        victim = sorted(cache_dir.glob("*.json"))[0]
+        victim.write_bytes(victim.read_bytes()[:victim.stat().st_size // 2])
+        provider = CountingProvider(EchoProvider())
+        rerun = augment_corpus(corpus, [PARAPHRASE], provider,
+                               cache_dir=cache_dir)
+        assert (rerun.provider_calls, rerun.cache_hits) == (1, 3)
+        assert rerun.corpus == first.corpus
+        # put replaced the bad file with a whole record
+        assert json.loads(victim.read_text())["cache_key"] == victim.stem
+
 
 class TestCache:
     def test_key_depends_on_strategy_and_text(self):
-        a = cache_key(PARAPHRASE, "hello")
-        assert a == cache_key(PARAPHRASE, "hello")
-        assert a != cache_key(ADD_CONTEXT, "hello")
-        assert a != cache_key(PARAPHRASE, "other")
+        def key(strategy, text, model="m", copy_idx=0):
+            msg = make_message("m1", text, entities=["hello"])
+            return cache_key(render_prompt(strategy, msg, copy_idx), model, copy_idx)
+        a = key(PARAPHRASE, "hello")
+        assert a == key(PARAPHRASE, "hello")
+        assert a != key(ADD_CONTEXT, "hello")
+        assert a != key(PARAPHRASE, "other")
+        assert a != key(PARAPHRASE, "hello", model="other-model")
+        assert a != key(PARAPHRASE, "hello", copy_idx=1)
+        assert key(KEEP_ENTITY, "hello") != key(PARAPHRASE, "hello")
+
+    @pytest.mark.parametrize("content", ["", "{\"source_id\": \"m1\"", "[1, 2]",
+                                         "{\"unexpected\": 1}"])
+    def test_unreadable_entry_is_a_miss(self, tmp_path, content):
+        cache = ResponseCache(tmp_path / "cache")
+        (tmp_path / "cache" / ("k" * 64 + ".json")).write_text(content)
+        assert cache.get("k" * 64) is None
 
     def test_round_trip(self, tmp_path):
         from eventaug.textaug import AugmentationRecord
