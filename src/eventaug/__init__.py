@@ -12,10 +12,9 @@ from .core import (EmbeddingMatrix, Message, Origin, RngStream, SplitSpec,
 from .ingest import (AlignedDataset, Corpus, attach_embeddings, naive_entities,
                      parse_corpus, temporal_features, with_entities,
                      write_corpus)
-from .graph import (FusionParams, HeteroGraph, build_graph, entity_vectors,
-                    fuse, neighborhood, user_vectors)
+from .graph import FusionParams, HeteroGraph, build_graph, fuse, neighborhood
 from .perturb import (DatasetStats, PerturbationConfig, cgp, dataset_std, fdp,
-                      frequency_mask, gp, idgp, mix, mix_rows, pgp)
+                      frequency_mask, gp, idgp, mix_rows, pgp)
 from .metrics import EvalReport, evaluate
 from .classify import (ClassifierModel, TrainConfig, load_model, predict,
                        ratio_study, save_model, train)
@@ -33,12 +32,12 @@ __all__ = [
     "Message", "Origin", "PerturbationConfig", "ProviderConfig", "RngStream",
     "RunConfig", "SplitSpec", "Strategy", "TrainConfig", "attach_embeddings",
     "augment_corpus", "augment_message", "build_graph",
-    "check_entity_preservation", "cgp", "dataset_std", "entity_vectors",
-    "evaluate", "export_plots", "fdp", "frequency_mask", "fuse", "gp",
-    "histogram", "idgp", "load_model", "mix", "mix_rows", "moments",
-    "naive_entities", "neighborhood", "parse_corpus", "pca2", "pgp",
-    "predict", "profile_perturbation", "ratio_study", "read_embeddings",
+    "check_entity_preservation", "cgp", "dataset_std", "evaluate",
+    "export_plots", "fdp", "frequency_mask", "fuse", "gp", "histogram",
+    "idgp", "load_model", "mix_rows", "moments", "naive_entities",
+    "neighborhood", "parse_corpus", "pca2", "pgp", "predict",
+    "profile_perturbation", "ratio_study", "read_embeddings",
     "render_prompt", "resolve_config", "save_model", "split",
-    "temporal_features", "train", "user_vectors", "with_entities",
-    "write_corpus", "write_embeddings",
+    "temporal_features", "train", "with_entities", "write_corpus",
+    "write_embeddings",
 ]

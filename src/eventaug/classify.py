@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -141,12 +141,7 @@ def train(fused_train, labels, config: TrainConfig,
         "num_classes": num_classes,
         "dim": dim,
         "train_rows": n,
-        "perturbation": None if pconf is None else {
-            "method": pconf.method, "alpha": pconf.alpha, "sigma": pconf.sigma,
-            "clip_c": pconf.clip_c, "alpha_var": pconf.alpha_var,
-            "keep_ratio": pconf.keep_ratio, "noise_level": pconf.noise_level,
-            "fdp_mode": pconf.fdp_mode,
-        },
+        "perturbation": None if pconf is None else asdict(pconf),
     }
     return ClassifierModel(weights=weights, bias=bias, metadata=metadata,
                            loss_history=losses)

@@ -15,11 +15,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import graph as graphmod
-from .classify import (DegenerateDataError, TrainConfig, eval_report_json,
+from .classify import (DegenerateDataError, eval_report_json,
                        load_model, predict, ratio_study, save_model, train,
                        write_ratio_csv)
 from .core import EmbeddingMatrix, read_embeddings, split, write_embeddings
@@ -27,7 +28,7 @@ from .diagnostics import export_plots, moments
 from .ingest import attach_embeddings, parse_corpus, with_entities, write_corpus
 from .metrics import evaluate
 from .perturb import dataset_std, perturb
-from .profiles import RunConfig, read_config_file, resolve_config
+from .profiles import RunConfig, config_keys, read_config_file, resolve_config
 from .textaug import (EchoProvider, HttpProvider, ProviderError,
                       ShuffleProvider, Strategy, augment_corpus)
 
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fused", required=True)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--lr", type=float, default=None, dest="learning_rate")
         p.add_argument("--no-implicit", action="store_true",
                        help="disable the perturbation mixer during training")
         p.add_argument("--method", default=None,
@@ -128,29 +129,14 @@ def _resolve(args) -> RunConfig:
         if not os.path.exists(config_path):
             raise ConfigError(f"config file not found: {config_path}")
         file_values = read_config_file(config_path)
-    overrides = {
-        "run": {"seed": getattr(args, "seed", None),
-                "out": getattr(args, "out", None)},
-        "implicit": {"method": getattr(args, "method", None),
-                     "alpha": getattr(args, "alpha", None),
-                     "sigma": getattr(args, "sigma", None),
-                     "alpha_var": getattr(args, "alpha_var", None)},
-        "train": {"epochs": getattr(args, "epochs", None),
-                  "batch_size": getattr(args, "batch_size", None),
-                  "learning_rate": getattr(args, "lr", None)},
-        "explicit": {"copies": getattr(args, "copies", None),
-                     "cache_dir": getattr(args, "cache_dir", None),
-                     "endpoint": getattr(args, "endpoint", None),
-                     "model": getattr(args, "model", None)},
-    }
+    # A flag overrides the config key of its name. No flag belongs to
+    # [split]: --seed is the [run] seed, which a file's [split] seed beats.
+    overrides = {section: {key: getattr(args, key, None) for key in keys}
+                 for section, keys in config_keys().items() if section != "split"}
     try:
-        config = resolve_config(profile=getattr(args, "profile", None),
-                                file_values=file_values, overrides=overrides)
+        return resolve_config(file_values=file_values, overrides=overrides)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    if getattr(args, "strategies", None):
-        config.strategies = tuple(args.strategies)
-    return config
 
 
 def _require_file(path, what: str) -> str:
@@ -159,14 +145,11 @@ def _require_file(path, what: str) -> str:
     return path
 
 
-def _write_snapshot(config: RunConfig, extra: dict | None = None) -> None:
+def _write_snapshot(config: RunConfig, command: str) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
-    payload = config.to_dict()
-    if extra:
-        payload.update(extra)
     with open(os.path.join(config.out_dir, "resolved-config.json"), "w",
               encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(config.snapshot_json(command=command))
 
 
 def _load_aligned(config: RunConfig, corpus_path, emb_path):
@@ -193,7 +176,7 @@ def _split_rows(corpus, spec):
 
 def cmd_augment_text(args) -> int:
     config = _resolve(args)
-    _write_snapshot(config, {"command": "augment-text"})
+    _write_snapshot(config, "augment-text")
     corpus = parse_corpus(_require_file(args.corpus, "corpus"))
     corpus = with_entities(corpus)
 
@@ -237,7 +220,7 @@ def cmd_augment_text(args) -> int:
 
 def cmd_fuse(args) -> int:
     config = _resolve(args)
-    _write_snapshot(config, {"command": "fuse"})
+    _write_snapshot(config, "fuse")
     corpus = parse_corpus(_require_file(args.corpus, "corpus"))
     corpus = with_entities(corpus)
     emb = read_embeddings(_require_file(args.embeddings, "embeddings"))
@@ -273,17 +256,14 @@ def _gather(aligned, ids):
 
 def cmd_train(args) -> int:
     config = _resolve(args)
-    _write_snapshot(config, {"command": "train"})
+    _write_snapshot(config, "train")
     aligned = _load_aligned(config, args.corpus, args.fused)
     train_ids, _, test_ids = _split_rows(aligned.corpus, config.split)
     x_train, y_train = _gather(aligned, train_ids)
     x_test, y_test = _gather(aligned, test_ids)
 
-    perturbation = None if args.no_implicit else config.perturbation
-    train_config = TrainConfig(epochs=config.train.epochs,
-                               batch_size=config.train.batch_size,
-                               learning_rate=config.train.learning_rate,
-                               seed=config.seed, perturbation=perturbation)
+    train_config = replace(config.train, perturbation=None) if args.no_implicit \
+        else config.train
     stats = dataset_std(x_train)
     num_classes = aligned.corpus.num_classes
     model = train(x_train, y_train, train_config, stats=stats,
@@ -305,7 +285,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _resolve(args)
-    _write_snapshot(config, {"command": "eval"})
+    _write_snapshot(config, "eval")
     aligned = _load_aligned(config, args.corpus, args.fused)
     model = load_model(_require_file(args.model_file, "model"))
 
@@ -327,7 +307,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ratio_study(args) -> int:
     config = _resolve(args)
-    _write_snapshot(config, {"command": "ratio-study"})
+    _write_snapshot(config, "ratio-study")
     aligned = _load_aligned(config, args.corpus, args.fused)
     train_ids, _, test_ids = _split_rows(aligned.corpus, config.split)
     x_train, y_train = _gather(aligned, train_ids)
@@ -338,11 +318,8 @@ def cmd_ratio_study(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad --ratios: {exc}") from exc
 
-    perturbation = None if args.no_implicit else config.perturbation
-    train_config = TrainConfig(epochs=config.train.epochs,
-                               batch_size=config.train.batch_size,
-                               learning_rate=config.train.learning_rate,
-                               seed=config.seed, perturbation=perturbation)
+    train_config = replace(config.train, perturbation=None) if args.no_implicit \
+        else config.train
     rows = ratio_study(x_train, y_train, x_test, y_test, ratios, train_config,
                        num_classes=aligned.corpus.num_classes)
     csv_path = os.path.join(config.out_dir, "ratio_study.csv")
@@ -353,7 +330,7 @@ def cmd_ratio_study(args) -> int:
 
 def cmd_diagnose(args) -> int:
     config = _resolve(args)
-    _write_snapshot(config, {"command": "diagnose"})
+    _write_snapshot(config, "diagnose")
     before = read_embeddings(_require_file(args.fused, "fused embeddings"))
     stats = dataset_std(before)
     rng = np.random.default_rng(config.seed)

@@ -159,9 +159,6 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
-        return self.derive()
-
     def derive(self, *indices: int) -> np.random.Generator:
         """Independent generator for a sub-task, e.g. derive(epoch, batch)."""
         seq = np.random.SeedSequence(entropy=self.seed,
@@ -192,7 +189,7 @@ def split(ids, labels, spec: SplitSpec):
     n_test = int(math.floor(n * spec.test_ratio + 1e-9))
     n_train += n - (n_train + n_val + n_test)
 
-    order = RngStream(spec.seed).generator().permutation(n)
+    order = RngStream(spec.seed).derive().permutation(n)
     shuffled = [ids[i] for i in order]
     train = shuffled[:n_train]
     val = shuffled[n_train:n_train + n_val]

@@ -1,6 +1,6 @@
 """Distribution diagnostics for implicit augmentation: before/after moment
 reports, histograms with explicit under/overflow buckets, a 2-component
-power-iteration PCA, and CSV/SVG export that needs no plotting stack.
+PCA by eigendecomposition, and CSV/SVG export that needs no plotting stack.
 
 CSV schemas:
   histogram.csv            bin_lo,bin_hi,count_before,count_after
@@ -94,67 +94,28 @@ def histogram(values, bins: int, value_range) -> Histogram:
                      overflow=overflow)
 
 
-def _top_eigenpair(cov: np.ndarray, tol: float = 1e-9, max_iter: int = 10000,
-                   orthogonal_to: np.ndarray | None = None):
-    d = cov.shape[0]
-
-    def project(u: np.ndarray) -> np.ndarray:
-        if orthogonal_to is not None:
-            return u - (u @ orthogonal_to) * orthogonal_to
-        return u
-
-    v = project(np.ones(d) / np.sqrt(d))
-    if np.linalg.norm(cov @ v) <= tol:
-        # all-ones start may sit in the null space; restart from the
-        # dimension with the largest variance
-        v = np.zeros(d)
-        v[int(np.argmax(np.diag(cov)))] = 1.0
-        v = project(v)
-    start_norm = np.linalg.norm(v)
-    if start_norm == 0.0:
-        return 0.0, np.zeros(d)
-    v /= start_norm
-    lam_prev = 0.0
-    for _ in range(max_iter):
-        w = project(cov @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, np.zeros(d)
-        v_next = w / norm
-        lam = float(v_next @ cov @ v_next)
-        if np.linalg.norm(v_next - v) < tol or abs(lam - lam_prev) < tol * max(lam, 1e-30):
-            v = v_next
-            break
-        v, lam_prev = v_next, lam
-    lam = float(v @ cov @ v)
-    j = int(np.argmax(np.abs(v)))
-    if v[j] < 0:
-        v = -v
-    return max(lam, 0.0), v
-
-
 def pca2(matrix):
     """Top-2 principal coordinates plus the pair of explained variances.
 
-    Columns are centered; components come from iterated power method with
-    deflation on the population covariance (deterministic all-ones start,
-    tolerance 1e-9, at most 10^4 iterations). Sign convention: the largest-
-    magnitude loading of each component is positive. Rank-0 input yields
-    zero coordinates and zero explained variance.
+    Columns are centered; components are the top two eigenvectors of the
+    population covariance (``np.linalg.eigh``), and explained variances
+    below zero from rounding are clipped to zero. Sign convention: the
+    largest-magnitude loading of each component is positive. Rank-0 input
+    yields zero coordinates and zero explained variance.
     """
     x = _values(matrix)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("pca2 needs at least 2 rows")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / x.shape[0]
-
-    lam1, v1 = _top_eigenpair(cov)
-    if lam1 == 0.0:
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)  # ascending
+    explained = np.maximum(eigenvalues[::-1][:2], 0.0)
+    if explained[0] == 0.0:
         return np.zeros((x.shape[0], 2)), np.zeros(2)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    lam2, v2 = _top_eigenpair(deflated, orthogonal_to=v1)
-    coords = centered @ np.stack([v1, v2], axis=1)
-    return coords, np.array([lam1, lam2])
+    components = eigenvectors[:, ::-1][:, :2]
+    largest = np.abs(components).argmax(axis=0)
+    components = components * np.sign(components[largest, [0, 1]])
+    return centered @ components, explained
 
 
 def render_histogram_svg(hist_before: Histogram, hist_after: Histogram,

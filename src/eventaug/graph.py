@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmbeddingMatrix
-from .ingest import AlignedDataset, Corpus, location_pair, temporal_features
+from .ingest import Corpus, temporal_features
 
 
 @dataclass(frozen=True)
@@ -310,32 +310,3 @@ def fuse(graph: HeteroGraph, message_emb: EmbeddingMatrix, corpus: Corpus,
         [message_emb.values.astype(np.float64), temporal_features(corpus)], axis=1)
     return EmbeddingMatrix(ids, _fused_rows(graph, ids, x, params))
 
-
-def user_vectors(graph: HeteroGraph, aligned: AlignedDataset) -> EmbeddingMatrix:
-    """User node vectors: mean of the user's message embeddings with the
-    2-value location pair appended (zeros when no location is known).
-    Used for graph inspection; fusion aggregates message rows directly."""
-    emb = aligned.embeddings
-    locations = {}
-    for m in aligned.corpus.messages:
-        if m.user_id not in locations and m.location:
-            locations[m.user_id] = m.location
-    users = sorted(graph.user_messages)
-    out = np.zeros((len(users), emb.dim + 2))
-    for i, user in enumerate(users):
-        rows = np.stack([emb.row(mid) for mid in graph.user_messages[user]])
-        out[i, :emb.dim] = rows.mean(axis=0)
-        out[i, emb.dim:] = location_pair(locations.get(user))
-    return EmbeddingMatrix(users, out)
-
-
-def entity_vectors(graph: HeteroGraph, aligned: AlignedDataset) -> EmbeddingMatrix:
-    """Entity node vectors: mean of the embeddings of messages mentioning
-    the entity."""
-    emb = aligned.embeddings
-    keys = sorted(graph.entity_messages)
-    out = np.zeros((len(keys), emb.dim))
-    for i, key in enumerate(keys):
-        rows = np.stack([emb.row(mid) for mid in graph.entity_messages[key]])
-        out[i] = rows.mean(axis=0)
-    return EmbeddingMatrix([graph.entity_names[k] for k in keys], out)

@@ -8,10 +8,9 @@ Text encoding happens out of process; embeddings arrive as SEDEMB01 files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +27,27 @@ class CorpusError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def _invariant_problems(messages, where) -> list[str]:
+    """Breaches of the corpus invariants: ids are unique, and the source of
+    every augmented message is an original message of the same corpus.
+    ``where(i)`` names the place of message ``i`` in each report."""
+    problems = []
+    first = {}
+    for i, m in enumerate(messages):
+        if m.id in first:
+            problems.append(f"{where(i)}: duplicate id {m.id!r} (first seen on "
+                            f"{where(first[m.id])})")
+        else:
+            first[m.id] = i
+    originals = {m.id for m in messages if m.origin is None}
+    for i, m in enumerate(messages):
+        if m.origin is not None and m.origin.source_id not in originals:
+            problems.append(
+                f"{where(i)}: message {m.id!r}: augmented source "
+                f"{m.origin.source_id!r} is not an original message")
+    return problems
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Immutable snapshot of messages. num_classes is 1 + the largest label."""
@@ -38,20 +58,7 @@ class Corpus:
     def __post_init__(self):
         if not isinstance(self.messages, tuple):
             object.__setattr__(self, "messages", tuple(self.messages))
-        ids = set()
-        original_ids = set()
-        problems = []
-        for m in self.messages:
-            if m.id in ids:
-                problems.append(f"duplicate id {m.id!r}")
-            ids.add(m.id)
-            if m.origin is None:
-                original_ids.add(m.id)
-        for m in self.messages:
-            if m.origin is not None and m.origin.source_id not in original_ids:
-                problems.append(
-                    f"message {m.id!r}: augmented source {m.origin.source_id!r} "
-                    "is not an original message in this corpus")
+        problems = _invariant_problems(self.messages, lambda i: f"position {i + 1}")
         if problems:
             raise CorpusError(problems)
 
@@ -115,8 +122,8 @@ def parse_corpus(path) -> Corpus:
     duplicate ids (citing both lines), and dangling augmented source ids.
     """
     messages = []
+    lines = []
     problems = []
-    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -132,20 +139,9 @@ def parse_corpus(path) -> Corpus:
             except ValueError as exc:
                 problems.append(str(exc))
                 continue
-            if msg.id in first_line:
-                problems.append(
-                    f"line {line_no}: duplicate id {msg.id!r} (first seen on line "
-                    f"{first_line[msg.id]})")
-                continue
-            first_line[msg.id] = line_no
             messages.append(msg)
-
-    known_originals = {m.id for m in messages if m.origin is None}
-    for m in messages:
-        if m.origin is not None and m.origin.source_id not in known_originals:
-            problems.append(
-                f"message {m.id!r}: augmented source {m.origin.source_id!r} "
-                "is not an original message")
+            lines.append(line_no)
+    problems += _invariant_problems(messages, lambda i: f"line {lines[i]}")
     if problems:
         raise CorpusError(problems)
     return Corpus(messages=tuple(messages))
@@ -220,17 +216,9 @@ def naive_entities(text: str) -> list[str]:
 
 def with_entities(corpus: Corpus) -> Corpus:
     """Corpus with naive entities filled in wherever a message has none."""
-    out = []
-    for m in corpus.messages:
-        if m.entities:
-            out.append(m)
-        else:
-            out.append(Message(id=m.id, text=m.text, user_id=m.user_id,
-                               timestamp=m.timestamp,
-                               entities=tuple(naive_entities(m.text)),
-                               location=m.location, label=m.label,
-                               origin=m.origin))
-    return Corpus(messages=tuple(out), class_names=corpus.class_names)
+    return replace(corpus, messages=tuple(
+        m if m.entities else replace(m, entities=tuple(naive_entities(m.text)))
+        for m in corpus.messages))
 
 
 def attach_embeddings(corpus: Corpus, emb: EmbeddingMatrix) -> AlignedDataset:
@@ -263,16 +251,3 @@ def temporal_features(corpus: Corpus) -> np.ndarray:
             out[:, col] = (vals - lo) / (hi - lo)
     return out
 
-
-def location_pair(location: str | None) -> np.ndarray:
-    """Deterministic 2-value encoding of a location string, each in [0, 1].
-
-    Derived from a sha256 digest so the encoding is stable across platforms
-    and runs; zeros when the location is absent.
-    """
-    if not location:
-        return np.zeros(2, dtype=np.float64)
-    digest = hashlib.sha256(location.encode("utf-8")).digest()
-    a = int.from_bytes(digest[:4], "little") / 2**32
-    b = int.from_bytes(digest[4:8], "little") / 2**32
-    return np.array([a, b], dtype=np.float64)

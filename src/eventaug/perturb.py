@@ -21,7 +21,7 @@ independently) and are pure given (input, parameters, rng).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class PerturbationConfig:
                 raise ValueError(f"{name} must be finite in [{lo}, {hi}], got {value}")
         if not (0.0 < self.keep_ratio <= 1.0) or not math.isfinite(self.keep_ratio):
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
-
-    def with_overrides(self, **kwargs) -> "PerturbationConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -256,8 +253,7 @@ def perturb(g, config: PerturbationConfig, stats: DatasetStats | None,
 
 
 def mix_rows(x: np.ndarray, config: PerturbationConfig,
-             stats: DatasetStats | None, rng: np.random.Generator,
-             method: str | None = None) -> np.ndarray:
+             stats: DatasetStats | None, rng: np.random.Generator) -> np.ndarray:
     """Per row, draw p ~ Uniform(0,1); rows with p < alpha are replaced by
     their perturbed version, the rest pass through bit-identically.
 
@@ -266,9 +262,7 @@ def mix_rows(x: np.ndarray, config: PerturbationConfig,
     """
     x = np.asarray(x)
     if x.ndim != 2:
-        raise ValueError("mix operates on a 2-D batch")
-    if method is not None:
-        config = config.with_overrides(method=method)
+        raise ValueError("mix_rows operates on a 2-D batch")
     p = rng.uniform(0.0, 1.0, size=x.shape[0])
     chosen = p < config.alpha
     if not chosen.any():
@@ -277,10 +271,3 @@ def mix_rows(x: np.ndarray, config: PerturbationConfig,
     out[chosen] = perturb(x[chosen], config, stats, rng)
     return out.astype(x.dtype, copy=False) if x.dtype != np.float64 else out
 
-
-def mix(batch: EmbeddingMatrix, method: str | None,
-        config: PerturbationConfig, stats: DatasetStats | None,
-        rng: np.random.Generator) -> EmbeddingMatrix:
-    """Mixer over an embedding matrix; see :func:`mix_rows`."""
-    mixed = mix_rows(batch.values, config, stats, rng, method=method)
-    return EmbeddingMatrix(batch.ids, mixed)

@@ -5,23 +5,23 @@ noise scales, clipping bound, frequency keep ratio and noise level) plus
 the 70/10/20 split. Precedence when resolving a run: CLI flag > config
 file > profile default.
 
-The config file is INI-style text. Recognized sections and keys:
+The config file is INI-style text. Its sections and keys:
 
   [run]      profile, seed, out
-  [split]    train_ratio, val_ratio, test_ratio, seed
-  [implicit] method, alpha, sigma, clip_c, alpha_var, keep_ratio,
-             noise_level, fdp_mode
-  [train]    epochs, batch_size, learning_rate
-  [fusion]   w_self, w_user, w_entity, layers
-  [explicit] strategies, copies, cache_dir, endpoint, model, max_tokens,
-             temperature, auth_env, max_retries, max_in_flight
+  [split]    the fields of core.SplitSpec
+  [implicit] the fields of perturb.PerturbationConfig
+  [train]    the fields of classify.TrainConfig but seed and perturbation
+  [fusion]   the fields of graph.FusionParams
+  [explicit] strategies, copies, cache_dir and the fields of
+             textaug.ProviderConfig
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .classify import TrainConfig
 from .core import SplitSpec
@@ -48,17 +48,29 @@ def profile_perturbation(name: str) -> PerturbationConfig:
     return PerturbationConfig(**_PROFILE_IMPLICIT[name])
 
 
-_IMPLICIT_FLOATS = ("alpha", "sigma", "clip_c", "alpha_var", "keep_ratio",
-                    "noise_level")
-_TRAIN_KEYS = {"epochs": int, "batch_size": int, "learning_rate": float}
-_FUSION_KEYS = {"w_self": float, "w_user": float, "w_entity": float,
-                "layers": int}
-_SPLIT_KEYS = {"train_ratio": float, "val_ratio": float, "test_ratio": float,
-               "seed": int}
-_EXPLICIT_KEYS = {"strategies": str, "copies": int, "cache_dir": str,
-                  "endpoint": str, "model": str, "max_tokens": int,
-                  "temperature": float, "auth_env": str, "max_retries": int,
-                  "max_in_flight": int}
+# INI section -> (RunConfig field, dataclass). The dataclass fields are the
+# section's keys, so a field added with a default is readable from the file
+# and written to the snapshot with no other edit.
+_SECTIONS = {
+    "split": ("split", SplitSpec),
+    "implicit": ("perturbation", PerturbationConfig),
+    "train": ("train", TrainConfig),
+    "fusion": ("fusion", FusionParams),
+    "explicit": ("provider", ProviderConfig),
+}
+# Set from [run] and [implicit], not from their own section.
+_NOT_IN_FILE = {"train": ("seed", "perturbation")}
+
+
+def config_keys() -> dict:
+    """{section: {key: caster}} of every key the config file accepts."""
+    keys = {"run": {"profile": str, "seed": int, "out": str}}
+    for section, (_, cls) in _SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        keys[section] = {f.name: hints[f.name] for f in fields(cls)
+                         if f.name not in _NOT_IN_FILE.get(section, ())}
+    keys["explicit"].update(strategies=str, copies=int, cache_dir=str)
+    return keys
 
 
 def read_config_file(path) -> dict:
@@ -67,15 +79,7 @@ def read_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
     out: dict = {}
-    schema = {
-        "run": {"profile": str, "seed": int, "out": str},
-        "split": _SPLIT_KEYS,
-        "implicit": {**{k: float for k in _IMPLICIT_FLOATS},
-                     "method": str, "fdp_mode": str},
-        "train": _TRAIN_KEYS,
-        "fusion": _FUSION_KEYS,
-        "explicit": _EXPLICIT_KEYS,
-    }
+    schema = config_keys()
     for section in parser.sections():
         if section not in schema:
             raise ValueError(f"unknown config section [{section}]")
@@ -108,40 +112,16 @@ class RunConfig:
     copies: int = 1
     cache_dir: str | None = None
 
-    def to_dict(self) -> dict:
-        p = self.perturbation
-        return {
-            "profile": self.profile,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "split": {"train_ratio": self.split.train_ratio,
-                      "val_ratio": self.split.val_ratio,
-                      "test_ratio": self.split.test_ratio,
-                      "seed": self.split.seed},
-            "implicit": {"method": p.method, "alpha": p.alpha, "sigma": p.sigma,
-                         "clip_c": p.clip_c, "alpha_var": p.alpha_var,
-                         "keep_ratio": p.keep_ratio, "noise_level": p.noise_level,
-                         "fdp_mode": p.fdp_mode},
-            "train": {"epochs": self.train.epochs,
-                      "batch_size": self.train.batch_size,
-                      "learning_rate": self.train.learning_rate,
-                      "seed": self.train.seed},
-            "fusion": {"w_self": self.fusion.w_self, "w_user": self.fusion.w_user,
-                       "w_entity": self.fusion.w_entity,
-                       "layers": self.fusion.layers},
-            "explicit": {"strategies": list(self.strategies),
-                         "copies": self.copies,
-                         "cache_dir": self.cache_dir,
-                         "endpoint": self.provider.endpoint,
-                         "model": self.provider.model,
-                         "max_tokens": self.provider.max_tokens,
-                         "temperature": self.provider.temperature,
-                         "max_retries": self.provider.max_retries,
-                         "max_in_flight": self.provider.max_in_flight},
-        }
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+    def snapshot_json(self, **extra) -> str:
+        """The resolved-config.json text: every effective parameter, by
+        config section, plus the ``extra`` top-level keys."""
+        snap = {"profile": self.profile, "seed": self.seed, "out_dir": self.out_dir,
+                **{section: asdict(getattr(self, attr))
+                   for section, (attr, _) in _SECTIONS.items()}, **extra}
+        del snap["train"]["perturbation"]  # written out as [implicit]
+        snap["explicit"].update(strategies=list(self.strategies),
+                                copies=self.copies, cache_dir=self.cache_dir)
+        return json.dumps(snap, sort_keys=True, indent=2) + "\n"
 
 
 def resolve_config(profile: str | None = None, file_values: dict | None = None,
@@ -163,36 +143,22 @@ def resolve_config(profile: str | None = None, file_values: dict | None = None,
 
     run_vals = merged("run")
     profile = profile or run_vals.get("profile") or "custom"
-    if profile not in PROFILE_NAMES:
-        raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILE_NAMES}")
-
+    perturbation = replace(profile_perturbation(profile), **merged("implicit"))
     seed = int(run_vals.get("seed", 0))
-    out_dir = run_vals.get("out", "out")
-
-    implicit_vals = {**_PROFILE_IMPLICIT[profile], **merged("implicit")}
-    perturbation = PerturbationConfig(**implicit_vals)
-
-    split_vals = merged("split")
-    split_vals.setdefault("seed", seed)
-    split_spec = SplitSpec(**split_vals)
-
-    train_vals = merged("train")
-    train = TrainConfig(seed=seed, perturbation=perturbation, **train_vals)
-
-    fusion = FusionParams(**merged("fusion"))
-
-    explicit_vals = merged("explicit")
-    strategies = explicit_vals.pop("strategies", None)
+    explicit = merged("explicit")
+    strategies = explicit.pop("strategies", None)
     if isinstance(strategies, str):
-        strategies = tuple(s.strip() for s in strategies.split(",") if s.strip())
-    copies = int(explicit_vals.pop("copies", 1))
-    cache_dir = explicit_vals.pop("cache_dir", None)
-    provider = ProviderConfig(**explicit_vals)
-
-    config = RunConfig(profile=profile, seed=seed, out_dir=out_dir,
-                       split=split_spec, perturbation=perturbation,
-                       train=train, fusion=fusion, provider=provider,
-                       copies=copies, cache_dir=cache_dir)
+        strategies = [s.strip() for s in strategies.split(",") if s.strip()]
+    copies = int(explicit.pop("copies", 1))
+    cache_dir = explicit.pop("cache_dir", None)
+    config = RunConfig(
+        profile=profile, seed=seed, out_dir=run_vals.get("out", "out"),
+        split=SplitSpec(**{"seed": seed, **merged("split")}),
+        perturbation=perturbation,
+        train=TrainConfig(**{**merged("train"), "seed": seed,
+                             "perturbation": perturbation}),
+        fusion=FusionParams(**merged("fusion")),
+        provider=ProviderConfig(**explicit), copies=copies, cache_dir=cache_dir)
     if strategies:
-        config.strategies = strategies
+        config.strategies = tuple(strategies)
     return config

@@ -356,25 +356,32 @@ def cache_key(prompt: str, model: str, copy_idx: int) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _rejection(strategy: Strategy, source: Message, text: str) -> str | None:
+    """Why a cleaned response cannot be used as a variant of ``source``, or
+    None when it can: it is empty, or a keep-entity response dropped one of
+    the source entities."""
+    if not text:
+        return "empty response"
+    if strategy.kind == "keep_entity" and not check_entity_preservation(source, text):
+        return "dropped required entity"
+    return None
+
+
 def augment_message(provider, strategy: Strategy, message: Message,
-                    rng=None, new_id: str | None = None) -> Message:
+                    new_id: str | None = None) -> Message:
     """One augmented variant of an original message.
 
     The returned message carries a fresh id, origin=(strategy, source id),
     the cleaned response as text, and every other field copied from the
     source. Empty responses and keep-entity responses that drop an entity
-    raise AugmentationRejected. ``rng`` is reserved for providers that
-    sample; the bundled mocks ignore it.
+    raise AugmentationRejected.
     """
     if message.origin is not None:
         raise ValueError(f"message {message.id!r} is already augmented")
-    prompt = render_prompt(strategy, message)
-    text = clean_response(provider.complete(prompt))
-    if not text:
-        raise AugmentationRejected(f"{message.id}: empty response")
-    if strategy.kind == "keep_entity" and not check_entity_preservation(message, text):
-        raise AugmentationRejected(
-            f"{message.id}: response dropped a required entity")
+    text = clean_response(provider.complete(render_prompt(strategy, message)))
+    reason = _rejection(strategy, message, text)
+    if reason is not None:
+        raise AugmentationRejected(f"{message.id}: {reason}")
     if new_id is None:
         new_id = f"{message.id}__{strategy.token}_0"
     return message.derive(new_id, text,
@@ -401,10 +408,9 @@ def _run_task(task, provider, cache, model_name):
     prompt = render_prompt(strategy, message, copy_idx)
     key = cache_key(prompt, model_name, copy_idx)
     record = cache.get(key) if cache is not None else None
-    called = False
-    if record is None:
+    called = record is None
+    if called:
         started = time.perf_counter()
-        called = True
         try:
             raw = provider.complete(prompt)
         except ProviderError as exc:
@@ -414,20 +420,14 @@ def _run_task(task, provider, cache, model_name):
             source_id=message.id, strategy=strategy.cli_name, prompt=prompt,
             raw_response=raw, text=clean_response(raw), model=model_name,
             latency_ms=latency, cache_key=key)
-        usable = bool(record.text) and (
-            strategy.kind != "keep_entity"
-            or check_entity_preservation(message, record.text))
-        if usable and cache is not None:
-            cache.put(record)
-    hit = not called
-    if not record.text:
-        return None, (message.id, strategy.cli_name, "empty response", "rejected"), called, hit
-    if strategy.kind == "keep_entity" and not check_entity_preservation(message, record.text):
-        return None, (message.id, strategy.cli_name, "dropped required entity",
-                      "rejected"), called, hit
+    reason = _rejection(strategy, message, record.text)
+    if reason is not None:
+        return None, (message.id, strategy.cli_name, reason, "rejected"), called, not called
+    if called and cache is not None:
+        cache.put(record)
     out = message.derive(new_id, record.text,
                          Origin(strategy=strategy.cli_name, source_id=message.id))
-    return out, None, called, hit
+    return out, None, called, not called
 
 
 def augment_corpus(corpus: Corpus, strategies, provider,

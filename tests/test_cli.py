@@ -1,10 +1,14 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 
+from eventaug.classify import load_model
 from eventaug.cli import main
 from eventaug.core import EmbeddingMatrix, write_embeddings
 from eventaug.ingest import Corpus, parse_corpus, write_corpus
+from eventaug.perturb import PerturbationConfig
+from eventaug.profiles import config_keys
 
 from conftest import make_message
 
@@ -195,6 +199,42 @@ class TestTrain:
         rc = main(["train", "--corpus", str(bad), "--fused", fused_path,
                    "--out", str(tmp_path / "x")])
         assert rc == 1
+
+
+class TestResolvedConfig:
+    def train_with_config(self, tmp_path, ini_text, *flags):
+        corpus_path, fused_path = write_train_fixture(tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini_text)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(ini), "--corpus", corpus_path,
+                     "--fused", fused_path, "--out", str(out), "--epochs", "3",
+                     *flags]) == 0
+        return json.loads((out / "resolved-config.json").read_text()), out
+
+    def test_holds_every_config_file_key(self, tmp_path):
+        resolved, _ = self.train_with_config(
+            tmp_path, "[explicit]\nauth_env = SED_TOKEN\n")
+        # the name of the token variable, never its value
+        assert resolved["explicit"]["auth_env"] == "SED_TOKEN"
+        for section, keys in config_keys().items():
+            written = resolved if section == "run" else resolved[section]
+            for key in keys:
+                assert {"out": "out_dir"}.get(key, key) in written, (section, key)
+
+    def test_seed_flag_leaves_file_split_seed(self, tmp_path):
+        resolved, out = self.train_with_config(
+            tmp_path, "[split]\nseed = 9\n", "--seed", "5")
+        assert resolved["split"]["seed"] == 9
+        assert resolved["train"]["seed"] == 5
+        assert resolved["seed"] == 5
+        assert load_model(out / "model.sedmdl").metadata["seed"] == 5
+
+    def test_model_metadata_has_every_perturbation_field(self, tmp_path):
+        _, out = self.train_with_config(tmp_path, "[implicit]\nmethod = CGP\n")
+        perturbation = load_model(out / "model.sedmdl").metadata["perturbation"]
+        assert set(perturbation) == {f.name for f in fields(PerturbationConfig)}
+        assert perturbation["method"] == "CGP"
 
 
 class TestEval:

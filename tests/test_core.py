@@ -128,13 +128,13 @@ class TestSplit:
 
 class TestRngStream:
     def test_reproducible_draws(self):
-        a = RngStream(seed=42, stream_id=5).generator().uniform(size=10_000)
-        b = RngStream(seed=42, stream_id=5).generator().uniform(size=10_000)
+        a = RngStream(seed=42, stream_id=5).derive().uniform(size=10_000)
+        b = RngStream(seed=42, stream_id=5).derive().uniform(size=10_000)
         assert np.array_equal(a, b)
 
     def test_streams_are_independent(self):
-        a = RngStream(42, 0).generator().uniform(size=100)
-        b = RngStream(42, 1).generator().uniform(size=100)
+        a = RngStream(42, 0).derive().uniform(size=100)
+        b = RngStream(42, 1).derive().uniform(size=100)
         assert not np.array_equal(a, b)
 
     def test_derive_is_stable(self):

@@ -6,10 +6,10 @@ import pytest
 
 from eventaug.core import EmbeddingMatrix
 from eventaug import graph as graphmod
-from eventaug.graph import (FusionParams, _fused_rows, build_graph,
-                            entity_vectors, fuse, neighborhood, user_vectors)
+from eventaug.graph import (FusionParams, _fused_rows, build_graph, fuse,
+                            neighborhood)
 from eventaug.ingest import temporal_features
-from eventaug.ingest import AlignedDataset, Corpus
+from eventaug.ingest import Corpus
 
 from conftest import make_message
 
@@ -240,22 +240,3 @@ class TestFuse:
         shuffled = graph_embeddings.reindex(["m2", "m1", "m3", "m4", "m5"])
         with pytest.raises(ValueError):
             fuse(g, shuffled, graph_corpus)
-
-
-class TestNodeVectors:
-    def test_user_vector_is_mean_plus_location(self, graph_corpus,
-                                               graph_embeddings):
-        g = build_graph(graph_corpus)
-        aligned = AlignedDataset(graph_corpus, graph_embeddings)
-        uv = user_vectors(g, aligned)
-        expected = graph_embeddings.values[:2].mean(axis=0)
-        assert np.allclose(uv.row("u1")[:3], expected)
-        assert np.array_equal(uv.row("u1")[3:], [0.0, 0.0])  # no location
-
-    def test_entity_vector_is_mean_of_mentions(self, graph_corpus,
-                                               graph_embeddings):
-        g = build_graph(graph_corpus)
-        aligned = AlignedDataset(graph_corpus, graph_embeddings)
-        ev = entity_vectors(g, aligned)
-        expected = graph_embeddings.values[[2, 4]].mean(axis=0)  # m3, m5
-        assert np.allclose(ev.row("Storm"), expected)

@@ -5,8 +5,8 @@ import pytest
 
 from eventaug.core import EmbeddingMatrix, Origin
 from eventaug.ingest import (Corpus, CorpusError, attach_embeddings,
-                             location_pair, naive_entities, parse_corpus,
-                             temporal_features, with_entities, write_corpus)
+                             naive_entities, parse_corpus, temporal_features,
+                             with_entities, write_corpus)
 
 from conftest import make_message
 
@@ -70,6 +70,22 @@ class TestParseCorpus:
         ])
         with pytest.raises(CorpusError, match="m3"):
             parse_corpus(path)
+
+    def test_every_problem_in_one_error(self, tmp_path):
+        path = tmp_path / "two.jsonl"
+        path.write_text(json.dumps(line("m1")) + "\n{not json\n" + json.dumps(
+            line("m2", origin={"strategy": "paraphrase", "source_id": "gone"})) + "\n")
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(path)
+        first, second = info.value.problems
+        assert first.startswith("line 2: invalid JSON")
+        assert second.startswith("line 3:") and "'gone'" in second
+
+    def test_built_corpus_checks_the_same_rules(self):
+        with pytest.raises(CorpusError, match=r"position 2: duplicate id 'm1'"):
+            Corpus(messages=(make_message("m1"), make_message("m1")))
+        with pytest.raises(CorpusError, match="'gone'"):
+            Corpus(messages=(make_message("m2", origin=Origin("paraphrase", "gone")),))
 
     def test_round_trip(self, tmp_path):
         corpus = Corpus(messages=(
@@ -182,16 +198,3 @@ class TestTemporalFeatures:
     def test_constant_timestamps_give_zeros(self):
         corpus = Corpus(messages=tuple(make_message(f"m{i}") for i in range(3)))
         assert np.array_equal(temporal_features(corpus), np.zeros((3, 2)))
-
-
-class TestLocationPair:
-    def test_absent_location_is_zero(self):
-        assert np.array_equal(location_pair(None), np.zeros(2))
-        assert np.array_equal(location_pair(""), np.zeros(2))
-
-    def test_deterministic_and_bounded(self):
-        a = location_pair("Sydney, Australia")
-        b = location_pair("Sydney, Australia")
-        assert np.array_equal(a, b)
-        assert (a >= 0).all() and (a <= 1).all()
-        assert not np.array_equal(a, location_pair("Miami"))

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from eventaug.core import EmbeddingMatrix
 from eventaug.perturb import (DatasetStats, PerturbationConfig, cgp,
                               dataset_std, fdp, fdp_spectrum, frequency_mask,
-                              gp, idgp, mix, mix_rows, pgp)
+                              gp, idgp, mix_rows, pgp)
 
 
 def naive_dft(g):
@@ -246,13 +245,6 @@ class TestMixer:
         config = PerturbationConfig(method="IDGP", alpha=1.0)
         with pytest.raises(ValueError):
             mix_rows(np.ones((4, 2)), config, None, np.random.default_rng(0))
-
-    def test_embedding_matrix_wrapper(self):
-        m = EmbeddingMatrix(["a", "b"], np.ones((2, 4), dtype=np.float32))
-        config = PerturbationConfig(method="GP", alpha=0.0, sigma=0.1)
-        out = mix(m, None, config, None, np.random.default_rng(1))
-        assert out.ids == m.ids
-        assert np.array_equal(out.values, m.values)
 
     def test_deterministic(self):
         x = np.random.default_rng(5).normal(size=(50, 6))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from eventaug.profiles import (PROFILE_NAMES, profile_perturbation,
@@ -92,3 +94,18 @@ class TestResolution:
     def test_train_perturbation_carries_profile(self):
         config = resolve_config(profile="kawarith6")
         assert config.train.perturbation is config.perturbation
+
+    def test_snapshot_resolves_to_equal_config(self):
+        config = resolve_config(
+            file_values={"run": {"profile": "twitter2012", "out": "o"},
+                         "split": {"seed": 9, "train_ratio": 0.6, "val_ratio": 0.2},
+                         "implicit": {"method": "FDP", "fdp_mode": "band"},
+                         "train": {"epochs": 7}, "fusion": {"layers": 2},
+                         "explicit": {"strategies": "paraphrase, keep-entity",
+                                      "copies": 2, "auth_env": "SED_TOKEN",
+                                      "max_in_flight": 1}},
+            overrides={"run": {"seed": 5}})
+        snapshot = json.loads(config.snapshot_json())
+        run = {"profile": snapshot.pop("profile"), "seed": snapshot.pop("seed"),
+               "out": snapshot.pop("out_dir")}
+        assert resolve_config(file_values={"run": run, **snapshot}) == config
