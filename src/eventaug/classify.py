@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import MODEL_MAGIC, EmbeddingMatrix, RngStream
+from .core import (MODEL_MAGIC, BadMagicError, EmbeddingMatrix, NonFinitePayloadError,
+                   RngStream, TruncatedPayloadError)
 from .metrics import EvalReport, evaluate
 from .perturb import DatasetStats, PerturbationConfig, dataset_std, mix_rows
 
@@ -178,22 +179,28 @@ def save_model(model: ClassifierModel, path) -> None:
 
 
 def load_model(path) -> ClassifierModel:
+    """Inverse of :func:`save_model`; validates magic, lengths and
+    finiteness with the error types of :func:`core.read_embeddings`."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:8] != MODEL_MAGIC:
-        raise ValueError(f"{path}: expected magic {MODEL_MAGIC!r}, got {blob[:8]!r}")
-    num_classes = _U32.unpack_from(blob, 8)[0]
-    dim = _U32.unpack_from(blob, 12)[0]
-    offset = 16
-    w_count = num_classes * dim
-    weights = np.frombuffer(blob, dtype="<f4", count=w_count, offset=offset)
-    offset += w_count * 4
-    bias = np.frombuffer(blob, dtype="<f4", count=num_classes, offset=offset)
-    offset += num_classes * 4
+    if len(blob) < 16 or blob[:8] != MODEL_MAGIC:
+        raise BadMagicError(f"{path}: expected magic {MODEL_MAGIC!r}, got {blob[:8]!r}")
+    num_classes, dim = struct.unpack_from("<II", blob, 8)
+    offset = 16 + 4 * num_classes * (dim + 1)
+    if offset + 4 > len(blob):
+        raise TruncatedPayloadError(
+            f"{path}: expected {offset + 4} header and parameter bytes, found {len(blob)}")
     (meta_len,) = _U32.unpack_from(blob, offset)
-    metadata = json.loads(blob[offset + 4:offset + 4 + meta_len].decode("utf-8"))
-    return ClassifierModel(weights=weights.reshape(num_classes, dim).astype(np.float64),
-                           bias=bias.astype(np.float64), metadata=metadata)
+    if offset + 4 + meta_len != len(blob):
+        raise TruncatedPayloadError(
+            f"{path}: expected {offset + 4 + meta_len} bytes, found {len(blob)}")
+    params = np.frombuffer(blob, dtype="<f4", count=num_classes * (dim + 1), offset=16)
+    if not np.isfinite(params).all():
+        raise NonFinitePayloadError(f"{path}: parameters contain NaN or Inf")
+    params = params.astype(np.float64)
+    return ClassifierModel(weights=params[:num_classes * dim].reshape(num_classes, dim),
+                           bias=params[num_classes * dim:],
+                           metadata=json.loads(blob[offset + 4:].decode("utf-8")))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ run can be reproduced from its snapshot.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import os
 import sys
@@ -123,19 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
-    file_values = {}
     config_path = getattr(args, "config", None)
-    if config_path:
-        if not os.path.exists(config_path):
-            raise ConfigError(f"config file not found: {config_path}")
-        file_values = read_config_file(config_path)
+    if config_path and not os.path.exists(config_path):
+        raise ConfigError(f"config file not found: {config_path}")
     # A flag overrides the config key of its name. No flag belongs to
     # [split]: --seed is the [run] seed, which a file's [split] seed beats.
     overrides = {section: {key: getattr(args, key, None) for key in keys}
                  for section, keys in config_keys().items() if section != "split"}
     try:
+        file_values = read_config_file(config_path) if config_path else {}
         return resolve_config(file_values=file_values, overrides=overrides)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -152,7 +151,7 @@ def _write_snapshot(config: RunConfig, command: str) -> None:
         fh.write(config.snapshot_json(command=command))
 
 
-def _load_aligned(config: RunConfig, corpus_path, emb_path):
+def _load_aligned(corpus_path, emb_path):
     corpus = parse_corpus(_require_file(corpus_path, "corpus"))
     emb = read_embeddings(_require_file(emb_path, "embeddings"))
     return attach_embeddings(corpus, emb)
@@ -257,7 +256,7 @@ def _gather(aligned, ids):
 def cmd_train(args) -> int:
     config = _resolve(args)
     _write_snapshot(config, "train")
-    aligned = _load_aligned(config, args.corpus, args.fused)
+    aligned = _load_aligned(args.corpus, args.fused)
     train_ids, _, test_ids = _split_rows(aligned.corpus, config.split)
     x_train, y_train = _gather(aligned, train_ids)
     x_test, y_test = _gather(aligned, test_ids)
@@ -286,7 +285,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = _resolve(args)
     _write_snapshot(config, "eval")
-    aligned = _load_aligned(config, args.corpus, args.fused)
+    aligned = _load_aligned(args.corpus, args.fused)
     model = load_model(_require_file(args.model_file, "model"))
 
     train_ids, val_ids, test_ids = _split_rows(aligned.corpus, config.split)
@@ -308,7 +307,7 @@ def cmd_eval(args) -> int:
 def cmd_ratio_study(args) -> int:
     config = _resolve(args)
     _write_snapshot(config, "ratio-study")
-    aligned = _load_aligned(config, args.corpus, args.fused)
+    aligned = _load_aligned(args.corpus, args.fused)
     train_ids, _, test_ids = _split_rows(aligned.corpus, config.split)
     x_train, y_train = _gather(aligned, train_ids)
     x_test, y_test = _gather(aligned, test_ids)

@@ -21,7 +21,7 @@ _U32 = struct.Struct("<I")
 
 
 class EmbeddingFormatError(ValueError):
-    """Base class for SEDEMB01 format violations."""
+    """Base class for SEDEMB01 and SEDMDL01 file format violations."""
 
 
 class BadMagicError(EmbeddingFormatError):
@@ -164,9 +164,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed,
                                      spawn_key=(self.stream_id, *indices))
         return np.random.Generator(np.random.PCG64(seq))
-
-    def substream(self, stream_id: int) -> "RngStream":
-        return RngStream(seed=self.seed, stream_id=stream_id)
 
 
 def split(ids, labels, spec: SplitSpec):

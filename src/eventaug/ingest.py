@@ -53,7 +53,6 @@ class Corpus:
     """Immutable snapshot of messages. num_classes is 1 + the largest label."""
 
     messages: tuple[Message, ...]
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.messages, tuple):
@@ -75,12 +74,6 @@ class Corpus:
 
     def originals(self) -> list[Message]:
         return [m for m in self.messages if m.is_original]
-
-    def get(self, message_id: str) -> Message:
-        for m in self.messages:
-            if m.id == message_id:
-                return m
-        raise KeyError(message_id)
 
 
 @dataclass(frozen=True)

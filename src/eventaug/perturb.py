@@ -11,8 +11,9 @@ Five methods:
 * ``cgp``  -- Gaussian noise clamped to [-clip_c, clip_c]. Clamping censors
   the distribution (probability mass collects at the bounds rather than
   being redistributed inside them).
-* ``fdp``  -- transform each embedding to the frequency domain, keep a
-  subset of frequency bins, add complex noise there, transform back.
+* ``fdp``  -- filter the real half-spectrum (``np.fft.rfft``) of each
+  embedding, add complex noise to the kept bins and transform back with
+  ``np.fft.irfft``; equal draws reproduce the output to 1e-12 relative.
 
 All functions accept a single row vector or a 2-D batch (rows perturbed
 independently) and are pure given (input, parameters, rng).
@@ -136,9 +137,9 @@ def frequency_mask(dim: int, keep_ratio: float, mode: str) -> np.ndarray:
     """Boolean keep-mask over the two-sided frequency spectrum of length dim.
 
     Bins are grouped into conjugate classes by |frequency|: {0}, {k, dim-k}
-    for 0 < k < dim/2, and {dim/2} when dim is even. Whole classes are kept
-    or dropped so the mask is always conjugate-symmetric and a real input
-    stays real after filtering.
+    for 0 < k < dim/2, and {dim/2} when dim is even. These are the dim//2 + 1
+    bins of ``np.fft.rfft``. Whole classes are kept or dropped so the mask is
+    always conjugate-symmetric and a real input stays real after filtering.
 
     * ``low``  keeps classes of smallest |frequency|,
     * ``high`` keeps classes of largest |frequency|,
@@ -154,82 +155,52 @@ def frequency_mask(dim: int, keep_ratio: float, mode: str) -> np.ndarray:
         raise ValueError(f"mode must be one of {FDP_MODES}, got {mode!r}")
     target = int(math.floor(keep_ratio * dim + 1e-9))
 
-    classes = [[0]]
-    for k in range(1, (dim + 1) // 2):
-        classes.append([k, dim - k])
+    half = dim // 2
+    sizes = np.full(half + 1, 2)  # bins in class k, those of |frequency| k
+    sizes[0] = 1
     if dim % 2 == 0:
-        classes.append([dim // 2])
-
-    mask = np.zeros(dim, dtype=bool)
-    if mode in ("low", "high"):
-        ordered = classes if mode == "low" else classes[::-1]
-        kept = 0
-        for cls in ordered:
-            if kept >= target:
-                break
-            mask[cls] = True
-            kept += len(cls)
-    else:
-        drop_budget = dim - target
-        drop_low = (drop_budget + 1) // 2
-        drop_high = drop_budget - drop_low
-        lo, hi = 0, len(classes) - 1
-        dropped = 0
-        while lo <= hi and dropped + len(classes[lo]) <= drop_low:
-            dropped += len(classes[lo])
-            lo += 1
-        dropped = 0
-        while hi >= lo and dropped + len(classes[hi]) <= drop_high:
-            dropped += len(classes[hi])
-            hi -= 1
-        for cls in classes[lo:hi + 1]:
-            mask[cls] = True
-    return mask
+        sizes[half] = 1
+    below = np.cumsum(sizes) - sizes  # bins in the classes below class k
+    above = np.cumsum(sizes[::-1])[::-1] - sizes  # and above it
+    if mode == "low":  # kept while the classes below hold fewer than target bins
+        keep = below < target
+    elif mode == "high":
+        keep = above < target
+    else:  # dropped from an end while it fits in that end's drop budget
+        budget = dim - target
+        keep = (below + sizes > (budget + 1) // 2) & (above + sizes > budget // 2)
+    k = np.arange(dim)
+    return keep[np.minimum(k, dim - k)]
 
 
-def fdp_spectrum(g, keep_ratio: float, eta: float, mode: str, sigma: float,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Filtered and noised frequency-domain representation of g.
+def fdp(g, keep_ratio: float, eta: float, mode: str, sigma: float,
+        rng: np.random.Generator | None = None):
+    """Frequency-domain perturbation of each embedding (last axis).
 
-    Kept bins receive complex noise (Normal(0, sigma^2) + i Normal(0, sigma^2))
-    * eta, mirrored conjugate-symmetrically; self-conjugate bins (0 and the
-    Nyquist bin for even lengths) receive real noise only. Dropped bins are
-    zero-filled so the output length is preserved.
+    Takes the half-spectrum ``np.fft.rfft(g)``, zeroes the bins that
+    :func:`frequency_mask` drops, adds (Normal(0, sigma^2) + i Normal(0,
+    sigma^2)) * eta to each kept bin, and returns ``np.fft.irfft`` at the
+    original length. The self-conjugate bins (0, and dim/2 for even dim) take
+    real noise only. The real parts of all rows are drawn first, then the
+    imaginary parts, one per kept bin in ascending order.
     """
     g = np.asarray(g, dtype=np.float64)
     dim = g.shape[-1]
     if dim < 2:
         raise ValueError(f"vector length must be >= 2, got {dim}")
-    mask = frequency_mask(dim, keep_ratio, mode)
-    spectrum = np.fft.fft(g, axis=-1)
-    spectrum = np.where(mask, spectrum, 0.0)
-
+    keep = frequency_mask(dim, keep_ratio, mode)[:dim // 2 + 1]
+    spectrum = np.fft.rfft(g, axis=-1)
+    spectrum[..., ~keep] = 0.0
     if eta != 0.0 and sigma != 0.0:
         if rng is None:
             raise ValueError("rng required when eta and sigma are nonzero")
-        canonical = [j for j in range(dim // 2 + 1) if mask[j]]
-        shape = g.shape[:-1] + (len(canonical),)
+        kept = np.flatnonzero(keep)
+        shape = g.shape[:-1] + (kept.size,)
         real = rng.normal(0.0, sigma, size=shape)
         imag = rng.normal(0.0, sigma, size=shape)
-        noise = np.zeros(g.shape[:-1] + (dim,), dtype=np.complex128)
-        for pos, j in enumerate(canonical):
-            if j == 0 or 2 * j == dim:
-                noise[..., j] = real[..., pos] * eta
-            else:
-                n = (real[..., pos] + 1j * imag[..., pos]) * eta
-                noise[..., j] = n
-                noise[..., dim - j] = np.conj(n)
-        spectrum = spectrum + noise
-    return spectrum
-
-
-def fdp(g, keep_ratio: float, eta: float, mode: str, sigma: float,
-        rng: np.random.Generator | None = None):
-    """Frequency-domain perturbation: filter the spectrum of each embedding,
-    add complex noise to the kept bins, and transform back to a real vector
-    of the original length."""
-    spectrum = fdp_spectrum(g, keep_ratio, eta, mode, sigma, rng)
-    return np.fft.ifft(spectrum, axis=-1).real
+        imag[..., (kept == 0) | (2 * kept == dim)] = 0.0
+        spectrum[..., kept] += (real + 1j * imag) * eta
+    return np.fft.irfft(spectrum, n=dim, axis=-1)
 
 
 def perturb(g, config: PerturbationConfig, stats: DatasetStats | None,
@@ -269,5 +240,5 @@ def mix_rows(x: np.ndarray, config: PerturbationConfig,
         return x.copy()
     out = x.astype(np.float64, copy=True)
     out[chosen] = perturb(x[chosen], config, stats, rng)
-    return out.astype(x.dtype, copy=False) if x.dtype != np.float64 else out
+    return out.astype(x.dtype, copy=False)
 

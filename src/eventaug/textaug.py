@@ -35,8 +35,6 @@ from .ingest import Corpus
 SOURCE_OPEN = "<<<"
 SOURCE_CLOSE = ">>>"
 
-EXTRACT_VARIANTS = ("keywords", "entities", "knowledge_graph")
-
 _CLI_NAMES = {
     ("paraphrase", None): "paraphrase",
     ("add_context", None): "add-context",
@@ -483,8 +481,7 @@ def augment_corpus(corpus: Corpus, strategies, provider,
         else:
             failures.append(failure)
 
-    combined = Corpus(messages=tuple(corpus.messages) + tuple(new_messages),
-                      class_names=corpus.class_names)
+    combined = Corpus(messages=tuple(corpus.messages) + tuple(new_messages))
     return AugmentResult(corpus=combined, originals=len(originals),
                          generated=len(new_messages), skipped=len(failures),
                          cache_hits=cache_hits, provider_calls=provider_calls,

@@ -8,6 +8,8 @@ from eventaug.classify import (DegenerateDataError, TrainConfig,
                                ratio_study, save_model, softmax,
                                subsample_indices, train, write_ratio_csv)
 from eventaug.classify import ClassifierModel
+from eventaug.core import (BadMagicError, NonFinitePayloadError,
+                           TruncatedPayloadError)
 from eventaug.perturb import PerturbationConfig
 
 
@@ -169,6 +171,29 @@ class TestModelFile:
         path.write_bytes(b"WRONGMAG" + b"\x00" * 64)
         with pytest.raises(ValueError, match="SEDMDL01"):
             load_model(path)
+
+
+    def test_rejects_every_truncation_junk_and_nan(self, tmp_path):
+        rng = np.random.default_rng(21)
+        model = ClassifierModel(weights=rng.normal(size=(2, 3)),
+                                bias=rng.normal(size=2), metadata={"seed": 21})
+        path = tmp_path / "m.sedmdl"
+        save_model(model, path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises((BadMagicError, TruncatedPayloadError)):
+                load_model(path)
+        path.write_bytes(blob + b"junk")
+        with pytest.raises(TruncatedPayloadError):
+            load_model(path)
+        weights = bytearray(blob)
+        weights[16 + 4:16 + 8] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(weights))
+        with pytest.raises(NonFinitePayloadError):
+            load_model(path)
+        path.write_bytes(blob)
+        assert load_model(path).metadata == {"seed": 21}
 
 
 class TestRatioStudy:

@@ -2,6 +2,7 @@ import json
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from eventaug.classify import load_model
 from eventaug.cli import main
@@ -235,6 +236,21 @@ class TestResolvedConfig:
         perturbation = load_model(out / "model.sedmdl").metadata["perturbation"]
         assert set(perturbation) == {f.name for f in fields(PerturbationConfig)}
         assert perturbation["method"] == "CGP"
+
+    @pytest.mark.parametrize("ini_text", [
+        "[implicit]\ngamma = 1\n",
+        "epochs = 10\n",
+        "[explicit]\nendpoint = http://localhost:1/v1?q=100%\n",
+        "[train]\nepochs = ten\n",
+    ], ids=["unknown-key", "no-section-header", "bare-percent", "bad-int"])
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, ini_text):
+        corpus_path, fused_path = write_train_fixture(tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini_text)
+        rc = main(["train", "--config", str(ini), "--corpus", corpus_path,
+                   "--fused", fused_path, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestEval:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from eventaug.perturb import (DatasetStats, PerturbationConfig, cgp,
-                              dataset_std, fdp, fdp_spectrum, frequency_mask,
-                              gp, idgp, mix_rows, pgp)
+                              dataset_std, fdp, frequency_mask, gp, idgp,
+                              mix_rows, pgp)
+
+from test_acceptance import oracle_mask
 
 
 def naive_dft(g):
@@ -14,6 +16,26 @@ def naive_dft(g):
     for k in range(d):
         out[k] = np.sum(g * np.exp(-2j * np.pi * k * n / d))
     return out
+
+
+def full_spectrum_fdp(g, keep_ratio, eta, mode, sigma, rng):
+    """FDP on the two-sided spectrum: fft, mask, the same draws as fdp
+    mirrored bin by bin onto the conjugate bins, then ifft(...).real."""
+    dim = g.shape[-1]
+    mask = oracle_mask(dim, keep_ratio, mode)
+    spectrum = np.where(mask, np.fft.fft(g, axis=-1), 0.0)
+    canonical = [j for j in range(dim // 2 + 1) if mask[j]]
+    shape = g.shape[:-1] + (len(canonical),)
+    real = rng.normal(0.0, sigma, size=shape)
+    imag = rng.normal(0.0, sigma, size=shape)
+    for pos, j in enumerate(canonical):
+        if j == 0 or 2 * j == dim:
+            spectrum[..., j] += real[..., pos] * eta
+        else:
+            n = (real[..., pos] + 1j * imag[..., pos]) * eta
+            spectrum[..., j] += n
+            spectrum[..., dim - j] += np.conj(n)
+    return np.fft.ifft(spectrum, axis=-1).real
 
 
 def naive_idft(spectrum):
@@ -166,6 +188,15 @@ class TestFrequencyMask:
             for j in range(dim):
                 assert mask[j] == mask[(dim - j) % dim]
 
+    def test_matches_class_list_oracle(self):
+        ratios = (0.01, 0.1, 0.25, 1 / 3, 0.5, 0.51, 0.75, 0.9, 0.98, 1.0)
+        for dim in range(2, 201):
+            for ratio in ratios:
+                for mode in ("low", "high", "band"):
+                    assert np.array_equal(frequency_mask(dim, ratio, mode),
+                                          oracle_mask(dim, ratio, mode)), \
+                        (dim, ratio, mode)
+
     def test_covers_at_least_target(self):
         for dim in (8, 16, 33, 100):
             for ratio in (0.25, 0.5, 0.75, 0.98):
@@ -190,19 +221,25 @@ class TestFrequencyDomain:
         expected = naive_idft(np.where(mask, naive_dft(g), 0.0)).real
         assert np.abs(out - expected).max() < 1e-6
 
-    def test_output_is_real_with_noise(self):
-        rng = np.random.default_rng(13)
-        g = np.random.default_rng(0).normal(size=33)
-        spectrum = fdp_spectrum(g, 0.5, 0.3, "low", 0.5, rng)
-        time_domain = np.fft.ifft(spectrum)
-        assert np.abs(time_domain.imag).max() < 1e-9 * np.linalg.norm(g)
-
     def test_noise_lands_only_on_kept_bins(self):
         rng = np.random.default_rng(14)
         g = np.random.default_rng(1).normal(size=32)
-        spectrum = fdp_spectrum(g, 0.25, 0.5, "high", 1.0, rng)
-        mask = frequency_mask(32, 0.25, "high")
-        assert np.abs(spectrum[~mask]).max() == 0.0
+        spectrum = np.fft.rfft(fdp(g, 0.25, 0.5, "high", 1.0, rng))
+        keep = frequency_mask(32, 0.25, "high")[:17]
+        assert np.abs(spectrum[~keep]).max() < 1e-12 * np.linalg.norm(g)
+        assert np.abs(spectrum[keep]).min() > 0.0
+
+    @pytest.mark.parametrize("mode", ["low", "high", "band"])
+    @pytest.mark.parametrize("shape", [(32,), (33,), (6, 40), (6, 41)])
+    def test_noisy_matches_full_spectrum_reference(self, shape, mode):
+        g = np.random.default_rng(15).normal(size=shape)
+        for ratio in (0.1, 0.5, 0.98, 1.0):
+            ours = fdp(g, ratio, 0.3, mode, 0.5, np.random.default_rng(16))
+            expected = full_spectrum_fdp(g, ratio, 0.3, mode, 0.5,
+                                         np.random.default_rng(16))
+            assert ours.shape == g.shape
+            assert np.abs(ours - expected).max() <= \
+                1e-12 * np.abs(expected).max(), ratio
 
     def test_deterministic_given_rng(self):
         g = np.random.default_rng(2).normal(size=48)
