@@ -9,9 +9,8 @@ embedding distribution.
 
 from .core import (EmbeddingMatrix, Message, Origin, RngStream, SplitSpec,
                    read_embeddings, split, write_embeddings)
-from .ingest import (AlignedDataset, Corpus, attach_embeddings, naive_entities,
-                     parse_corpus, temporal_features, with_entities,
-                     write_corpus)
+from .ingest import (Corpus, attach_embeddings, naive_entities, parse_corpus,
+                     temporal_features, with_entities, write_corpus)
 from .graph import FusionParams, HeteroGraph, build_graph, fuse, neighborhood
 from .perturb import (DatasetStats, PerturbationConfig, cgp, dataset_std, fdp,
                       frequency_mask, gp, idgp, mix_rows, pgp)
@@ -20,23 +19,21 @@ from .classify import (ClassifierModel, TrainConfig, load_model, predict,
                        ratio_study, save_model, train)
 from .diagnostics import histogram, moments, pca2, export_plots
 from .textaug import (ProviderConfig, Strategy, augment_corpus,
-                      augment_message, check_entity_preservation,
-                      render_prompt)
+                      check_entity_preservation, render_prompt)
 from .profiles import RunConfig, profile_perturbation, resolve_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedDataset", "ClassifierModel", "Corpus", "DatasetStats",
-    "EmbeddingMatrix", "EvalReport", "FusionParams", "HeteroGraph",
-    "Message", "Origin", "PerturbationConfig", "ProviderConfig", "RngStream",
-    "RunConfig", "SplitSpec", "Strategy", "TrainConfig", "attach_embeddings",
-    "augment_corpus", "augment_message", "build_graph",
-    "check_entity_preservation", "cgp", "dataset_std", "evaluate",
-    "export_plots", "fdp", "frequency_mask", "fuse", "gp", "histogram",
-    "idgp", "load_model", "mix_rows", "moments", "naive_entities",
-    "neighborhood", "parse_corpus", "pca2", "pgp", "predict",
-    "profile_perturbation", "ratio_study", "read_embeddings",
+    "ClassifierModel", "Corpus", "DatasetStats", "EmbeddingMatrix",
+    "EvalReport", "FusionParams", "HeteroGraph", "Message", "Origin",
+    "PerturbationConfig", "ProviderConfig", "RngStream", "RunConfig",
+    "SplitSpec", "Strategy", "TrainConfig", "attach_embeddings",
+    "augment_corpus", "build_graph", "check_entity_preservation", "cgp",
+    "dataset_std", "evaluate", "export_plots", "fdp", "frequency_mask",
+    "fuse", "gp", "histogram", "idgp", "load_model", "mix_rows", "moments",
+    "naive_entities", "neighborhood", "parse_corpus", "pca2", "pgp",
+    "predict", "profile_perturbation", "ratio_study", "read_embeddings",
     "render_prompt", "resolve_config", "save_model", "split",
     "temporal_features", "train", "with_entities", "write_corpus",
     "write_embeddings",

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import (MODEL_MAGIC, BadMagicError, EmbeddingMatrix, NonFinitePayloadError,
-                   RngStream, TruncatedPayloadError)
+from .core import (MODEL_MAGIC, BadMagicError, EmbeddingFormatError, EmbeddingMatrix,
+                   NonFinitePayloadError, RngStream, TruncatedPayloadError)
 from .metrics import EvalReport, evaluate
 from .perturb import DatasetStats, PerturbationConfig, dataset_std, mix_rows
 
@@ -166,14 +166,17 @@ def predict(model: ClassifierModel, emb):
 def save_model(model: ClassifierModel, path) -> None:
     """SEDMDL01 format: magic, num_classes (u32 LE), dim (u32 LE), weights
     then bias as float32 LE row-major, and a length-prefixed JSON metadata
-    trailer."""
+    trailer. Parameters that are NaN or Inf as float32 (a diverged run) are
+    refused before the file is opened."""
+    params = np.concatenate([np.ravel(model.weights), model.bias]).astype("<f4")
+    if not np.isfinite(params).all():
+        raise NonFinitePayloadError(f"refusing to write NaN or Inf parameters to {path}")
     meta = json.dumps(model.metadata, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(_U32.pack(model.num_classes))
         fh.write(_U32.pack(model.dim))
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.bias, dtype="<f4").tobytes())
+        fh.write(params.tobytes())
         fh.write(_U32.pack(len(meta)))
         fh.write(meta)
 
@@ -197,10 +200,15 @@ def load_model(path) -> ClassifierModel:
     params = np.frombuffer(blob, dtype="<f4", count=num_classes * (dim + 1), offset=16)
     if not np.isfinite(params).all():
         raise NonFinitePayloadError(f"{path}: parameters contain NaN or Inf")
+    try:
+        metadata = json.loads(blob[offset + 4:].decode("utf-8"))
+    except ValueError as exc:  # JSON or UTF-8 decoding
+        raise EmbeddingFormatError(f"{path}: corrupt metadata trailer: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise EmbeddingFormatError(f"{path}: metadata trailer is not a JSON object")
     params = params.astype(np.float64)
     return ClassifierModel(weights=params[:num_classes * dim].reshape(num_classes, dim),
-                           bias=params[num_classes * dim:],
-                           metadata=json.loads(blob[offset + 4:].decode("utf-8")))
+                           bias=params[num_classes * dim:], metadata=metadata)
 
 
 @dataclass(frozen=True)

@@ -144,40 +144,61 @@ def _require_file(path, what: str) -> str:
     return path
 
 
+def _write_out(config: RunConfig, name: str, text: str) -> str:
+    """Write one text file into the output directory; returns its path."""
+    path = os.path.join(config.out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def _write_snapshot(config: RunConfig, command: str) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "resolved-config.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(config.snapshot_json(command=command))
+    _write_out(config, "resolved-config.json", config.snapshot_json(command=command))
 
 
 def _load_aligned(corpus_path, emb_path):
+    """The corpus and its embedding rows in corpus order."""
     corpus = parse_corpus(_require_file(corpus_path, "corpus"))
     emb = read_embeddings(_require_file(emb_path, "embeddings"))
-    return attach_embeddings(corpus, emb)
+    return corpus, attach_embeddings(corpus, emb)
 
 
 def _split_rows(corpus, spec):
-    """Split labeled originals; augmented messages follow their source into
-    the training side only (never val/test, to avoid leakage)."""
-    labeled = [m for m in corpus.messages
+    """Row positions of (train, val, test). Labeled originals are split;
+    augmented messages follow their source into the training side only
+    (never val/test, to avoid leakage)."""
+    labeled = [i for i, m in enumerate(corpus.messages)
                if m.is_original and m.label is not None]
     if not labeled:
         raise DegenerateDataError("corpus has no labeled original messages")
-    train_ids, val_ids, test_ids = split([m.id for m in labeled],
-                                         [m.label for m in labeled], spec)
-    train_set = set(train_ids)
-    extra = [m.id for m in corpus.messages
+    train_rows, val_rows, test_rows = split(
+        labeled, [corpus.messages[i].label for i in labeled], spec)
+    train_set = {corpus.messages[i].id for i in train_rows}
+    extra = [i for i, m in enumerate(corpus.messages)
              if m.origin is not None and m.label is not None
              and m.origin.source_id in train_set]
-    return train_ids + extra, val_ids, test_ids
+    return train_rows + extra, val_rows, test_rows
 
 
-def cmd_augment_text(args) -> int:
-    config = _resolve(args)
-    _write_snapshot(config, "augment-text")
-    corpus = parse_corpus(_require_file(args.corpus, "corpus"))
-    corpus = with_entities(corpus)
+def _gather(corpus, emb, rows):
+    return emb.values[rows], np.array([corpus.messages[i].label for i in rows],
+                                      dtype=np.int64)
+
+
+def _training_rows(args, config: RunConfig):
+    """(train rows and labels, test rows and labels, train config, number
+    of classes) for ``train`` and ``ratio-study``."""
+    corpus, emb = _load_aligned(args.corpus, args.fused)
+    train_rows, _, test_rows = _split_rows(corpus, config.split)
+    train_config = replace(config.train, perturbation=None) if args.no_implicit \
+        else config.train
+    return (_gather(corpus, emb, train_rows), _gather(corpus, emb, test_rows),
+            train_config, corpus.num_classes)
+
+
+def cmd_augment_text(args, config: RunConfig) -> int:
+    corpus = with_entities(parse_corpus(_require_file(args.corpus, "corpus")))
 
     mock = getattr(args, "mock", None)
     if mock:
@@ -217,119 +238,80 @@ def cmd_augment_text(args) -> int:
     return EXIT_OK
 
 
-def cmd_fuse(args) -> int:
-    config = _resolve(args)
-    _write_snapshot(config, "fuse")
-    corpus = parse_corpus(_require_file(args.corpus, "corpus"))
-    corpus = with_entities(corpus)
+def cmd_fuse(args, config: RunConfig) -> int:
+    corpus = with_entities(parse_corpus(_require_file(args.corpus, "corpus")))
     emb = read_embeddings(_require_file(args.embeddings, "embeddings"))
     aligned = attach_embeddings(corpus, emb)
 
     g = graphmod.build_graph(corpus)
-    fused = graphmod.fuse(g, aligned.embeddings, corpus, config.fusion)
-    fused_path = os.path.join(config.out_dir, "fused.sedemb")
-    write_embeddings(fused, fused_path)
+    fused = graphmod.fuse(g, aligned, corpus, config.fusion)
+    write_embeddings(fused, os.path.join(config.out_dir, "fused.sedemb"))
 
     stats = g.stats()
     stats.update({"input_dim": emb.dim, "fused_dim": fused.dim})
-    with open(os.path.join(config.out_dir, "graph-stats.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(stats, sort_keys=True, indent=2) + "\n")
+    _write_out(config, "graph-stats.json",
+               json.dumps(stats, sort_keys=True, indent=2) + "\n")
     if args.dump_graph:
-        with open(os.path.join(config.out_dir, "graph.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(g.to_json() + "\n")
+        _write_out(config, "graph.json", g.to_json() + "\n")
     print(f"fused {fused.rows} messages: dim {emb.dim} -> {fused.dim}")
     print(f"graph: {stats['users']} users, {stats['entities']} entities, "
           f"{stats['entity_edges']} entity edges")
     return EXIT_OK
 
 
-def _gather(aligned, ids):
-    label_of = {m.id: m.label for m in aligned.corpus.messages}
-    x = np.stack([aligned.embeddings.row(i) for i in ids]) if ids else \
-        np.zeros((0, aligned.embeddings.dim))
-    y = np.array([label_of[i] for i in ids], dtype=np.int64)
-    return x, y
-
-
-def cmd_train(args) -> int:
-    config = _resolve(args)
-    _write_snapshot(config, "train")
-    aligned = _load_aligned(args.corpus, args.fused)
-    train_ids, _, test_ids = _split_rows(aligned.corpus, config.split)
-    x_train, y_train = _gather(aligned, train_ids)
-    x_test, y_test = _gather(aligned, test_ids)
-
-    train_config = replace(config.train, perturbation=None) if args.no_implicit \
-        else config.train
-    stats = dataset_std(x_train)
-    num_classes = aligned.corpus.num_classes
-    model = train(x_train, y_train, train_config, stats=stats,
+def cmd_train(args, config: RunConfig) -> int:
+    (x_train, y_train), (x_test, y_test), train_config, num_classes = \
+        _training_rows(args, config)
+    model = train(x_train, y_train, train_config, stats=dataset_std(x_train),
                   num_classes=num_classes)
 
     model_path = os.path.join(config.out_dir, "model.sedmdl")
     save_model(model, model_path)
     preds, _ = predict(model, x_test)
     report = evaluate(preds, y_test, num_classes)
-    report_path = os.path.join(config.out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(eval_report_json(report))
-    print(f"train_rows={len(train_ids)} test_rows={len(test_ids)} "
+    report_path = _write_out(config, "report.json", eval_report_json(report))
+    print(f"train_rows={len(y_train)} test_rows={len(y_test)} "
           f"classes={num_classes}")
     print(f"micro_f1={report.micro_f1:.4f} macro_f1={report.macro_f1:.4f}")
     print(f"wrote {model_path} and {report_path}")
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    config = _resolve(args)
-    _write_snapshot(config, "eval")
-    aligned = _load_aligned(args.corpus, args.fused)
+def cmd_eval(args, config: RunConfig) -> int:
+    corpus, emb = _load_aligned(args.corpus, args.fused)
     model = load_model(_require_file(args.model_file, "model"))
 
-    train_ids, val_ids, test_ids = _split_rows(aligned.corpus, config.split)
-    part = {"train": train_ids, "val": val_ids, "test": test_ids,
-            "all": train_ids + val_ids + test_ids}[args.split_part]
+    train_rows, val_rows, test_rows = _split_rows(corpus, config.split)
+    part = {"train": train_rows, "val": val_rows, "test": test_rows,
+            "all": train_rows + val_rows + test_rows}[args.split_part]
     if not part:
         raise DegenerateDataError(f"split part {args.split_part!r} is empty")
-    x, y = _gather(aligned, part)
+    x, y = _gather(corpus, emb, part)
     preds, _ = predict(model, x)
-    report = evaluate(preds, y, max(aligned.corpus.num_classes, model.num_classes))
-    report_path = os.path.join(config.out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(eval_report_json(report))
+    report = evaluate(preds, y, max(corpus.num_classes, model.num_classes))
+    _write_out(config, "report.json", eval_report_json(report))
     print(f"split={args.split_part} rows={len(part)}")
     print(f"micro_f1={report.micro_f1:.4f} macro_f1={report.macro_f1:.4f}")
     return EXIT_OK
 
 
-def cmd_ratio_study(args) -> int:
-    config = _resolve(args)
-    _write_snapshot(config, "ratio-study")
-    aligned = _load_aligned(args.corpus, args.fused)
-    train_ids, _, test_ids = _split_rows(aligned.corpus, config.split)
-    x_train, y_train = _gather(aligned, train_ids)
-    x_test, y_test = _gather(aligned, test_ids)
-
+def cmd_ratio_study(args, config: RunConfig) -> int:
+    (x_train, y_train), (x_test, y_test), train_config, num_classes = \
+        _training_rows(args, config)
     try:
         ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --ratios: {exc}") from exc
 
-    train_config = replace(config.train, perturbation=None) if args.no_implicit \
-        else config.train
     rows = ratio_study(x_train, y_train, x_test, y_test, ratios, train_config,
-                       num_classes=aligned.corpus.num_classes)
+                       num_classes=num_classes)
     csv_path = os.path.join(config.out_dir, "ratio_study.csv")
     write_ratio_csv(rows, csv_path)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
-    config = _resolve(args)
-    _write_snapshot(config, "diagnose")
+def cmd_diagnose(args, config: RunConfig) -> int:
     before = read_embeddings(_require_file(args.fused, "fused embeddings"))
     stats = dataset_std(before)
     rng = np.random.default_rng(config.seed)
@@ -358,7 +340,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        config = _resolve(args)
+        _write_snapshot(config, args.command)
+        return _HANDLERS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

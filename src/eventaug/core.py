@@ -242,7 +242,10 @@ def read_embeddings(path) -> EmbeddingMatrix:
         offset += 4
         if offset + id_len > len(blob):
             raise TruncatedPayloadError(f"{path}: id table truncated at byte {offset}")
-        ids.append(blob[offset:offset + id_len].decode("utf-8"))
+        try:
+            ids.append(blob[offset:offset + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise EmbeddingFormatError(f"{path}: id at byte {offset} is not UTF-8") from exc
         offset += id_len
 
     expected = rows * dim * 4
@@ -254,4 +257,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
     values = values.reshape(rows, dim)
     if values.size and not np.isfinite(values).all():
         raise NonFinitePayloadError(f"{path}: payload contains NaN or Inf")
-    return EmbeddingMatrix(ids, values)
+    try:
+        return EmbeddingMatrix(ids, values)
+    except ValueError as exc:  # duplicate ids
+        raise EmbeddingFormatError(f"{path}: {exc}") from exc

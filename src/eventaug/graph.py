@@ -67,33 +67,13 @@ class HeteroGraph:
         self.entity_messages: dict[str, list[str]] = entity_messages
         self.message_entities: dict[str, list[str]] = message_entities
 
-    @property
-    def num_messages(self) -> int:
-        return len(self.message_ids)
-
-    @property
-    def num_users(self) -> int:
-        return len(self.user_messages)
-
-    @property
-    def num_entities(self) -> int:
-        return len(self.entity_messages)
-
-    @property
-    def num_user_edges(self) -> int:
-        return len(self.message_ids)  # exactly one author per message
-
-    @property
-    def num_entity_edges(self) -> int:
-        return sum(len(keys) for keys in self.message_entities.values())
-
     def stats(self) -> dict:
         return {
-            "messages": self.num_messages,
-            "users": self.num_users,
-            "entities": self.num_entities,
-            "user_edges": self.num_user_edges,
-            "entity_edges": self.num_entity_edges,
+            "messages": len(self.message_ids),
+            "users": len(self.user_messages),
+            "entities": len(self.entity_messages),
+            "user_edges": len(self.message_ids),  # exactly one author per message
+            "entity_edges": sum(len(keys) for keys in self.message_entities.values()),
         }
 
     def to_json(self) -> str:

@@ -76,14 +76,6 @@ class Corpus:
         return [m for m in self.messages if m.is_original]
 
 
-@dataclass(frozen=True)
-class AlignedDataset:
-    """A corpus plus its embedding matrix with rows in corpus order."""
-
-    corpus: Corpus
-    embeddings: EmbeddingMatrix
-
-
 def _message_from_obj(obj: dict, line_no: int) -> Message:
     try:
         origin = None
@@ -214,8 +206,9 @@ def with_entities(corpus: Corpus) -> Corpus:
         for m in corpus.messages))
 
 
-def attach_embeddings(corpus: Corpus, emb: EmbeddingMatrix) -> AlignedDataset:
-    """Re-index embedding rows to corpus order; every message id must be present."""
+def attach_embeddings(corpus: Corpus, emb: EmbeddingMatrix) -> EmbeddingMatrix:
+    """The embedding rows re-indexed to corpus order; every message id must
+    be present."""
     if emb.dim == 0:
         raise ValueError("embedding dimensionality must be positive")
     missing = [m.id for m in corpus.messages if m.id not in emb]
@@ -223,7 +216,7 @@ def attach_embeddings(corpus: Corpus, emb: EmbeddingMatrix) -> AlignedDataset:
         shown = ", ".join(repr(i) for i in missing[:10])
         more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
         raise ValueError(f"embeddings missing {len(missing)} corpus ids: {shown}{more}")
-    return AlignedDataset(corpus=corpus, embeddings=emb.reindex(corpus.ids()))
+    return emb.reindex(corpus.ids())
 
 
 def temporal_features(corpus: Corpus) -> np.ndarray:

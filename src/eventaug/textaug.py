@@ -48,11 +48,7 @@ _FROM_CLI = {v: k for k, v in _CLI_NAMES.items()}
 
 
 class ProviderError(RuntimeError):
-    """Provider unreachable or failing after all retries."""
-
-
-class AugmentationRejected(RuntimeError):
-    """The response was unusable (empty, or it broke a required entity)."""
+    """Provider unreachable, refusing the request, or failing after all retries."""
 
 
 @dataclass(frozen=True)
@@ -123,13 +119,6 @@ class AugmentationRecord:
     model: str
     latency_ms: float
     cache_key: str
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @staticmethod
-    def from_dict(obj: dict) -> "AugmentationRecord":
-        return AugmentationRecord(**obj)
 
 
 _PREAMBLE = ("You augment social media messages for event detection "
@@ -255,21 +244,10 @@ class DropEntityProvider:
         return pattern.sub("", source)
 
 
-class FailingProvider:
-    """Fault-injection mock: fails for selected source ids."""
-
-    def __init__(self, inner, fail_when):
-        self.inner = inner
-        self.fail_when = fail_when
-
-    def complete(self, prompt: str) -> str:
-        if self.fail_when(prompt):
-            raise ProviderError("injected failure")
-        return self.inner.complete(prompt)
-
-
 class HttpProvider:
-    """Chat-completion-style HTTP client with bounded retries."""
+    """Chat-completion-style HTTP client with bounded retries. Timeouts,
+    connection errors and HTTP 408, 429 and 5xx are retried; any other
+    HTTP status or a malformed reply fails at once."""
 
     def __init__(self, config: ProviderConfig):
         if not config.endpoint:
@@ -292,17 +270,26 @@ class HttpProvider:
             headers["Authorization"] = f"Bearer {token}"
         last_error = None
         for attempt in range(self.config.max_retries):
+            if attempt:
+                time.sleep(min(2.0, 0.1 * 2 ** (attempt - 1)))
+            request = urllib.request.Request(
+                self.config.endpoint, data=body, headers=headers, method="POST")
             try:
-                request = urllib.request.Request(
-                    self.config.endpoint, data=body, headers=headers, method="POST")
                 with urllib.request.urlopen(request, timeout=60) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-                return payload["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, OSError, KeyError, IndexError,
-                    json.JSONDecodeError) as exc:
+                    raw = response.read()
+            except urllib.error.HTTPError as exc:
+                if exc.code < 500 and exc.code not in (408, 429):
+                    raise ProviderError(
+                        f"provider answered HTTP {exc.code} {exc.reason}") from exc
                 last_error = exc
-                if attempt + 1 < self.config.max_retries:
-                    time.sleep(min(2.0, 0.1 * 2 ** attempt))
+                continue
+            except OSError as exc:  # timeouts, refused or dropped connections
+                last_error = exc
+                continue
+            try:
+                return json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise ProviderError(f"malformed provider response: {exc!r}") from exc
         raise ProviderError(
             f"provider failed after {self.config.max_retries} attempts: {last_error}")
 
@@ -331,7 +318,7 @@ class ResponseCache:
         of that key replaces it."""
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
-                return AugmentationRecord.from_dict(json.load(fh))
+                return AugmentationRecord(**json.load(fh))
         except FileNotFoundError:
             return None
         except (ValueError, TypeError):  # JSON or UTF-8 decoding, bad fields
@@ -341,7 +328,7 @@ class ResponseCache:
         path = self._path(record.cache_key)
         tmp = f"{path}.tmp.{os.getpid()}.{id(record)}"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record.to_dict(), fh, ensure_ascii=False, indent=2)
+            json.dump(vars(record), fh, ensure_ascii=False, indent=2)
         os.replace(tmp, path)
 
 
@@ -363,27 +350,6 @@ def _rejection(strategy: Strategy, source: Message, text: str) -> str | None:
     if strategy.kind == "keep_entity" and not check_entity_preservation(source, text):
         return "dropped required entity"
     return None
-
-
-def augment_message(provider, strategy: Strategy, message: Message,
-                    new_id: str | None = None) -> Message:
-    """One augmented variant of an original message.
-
-    The returned message carries a fresh id, origin=(strategy, source id),
-    the cleaned response as text, and every other field copied from the
-    source. Empty responses and keep-entity responses that drop an entity
-    raise AugmentationRejected.
-    """
-    if message.origin is not None:
-        raise ValueError(f"message {message.id!r} is already augmented")
-    text = clean_response(provider.complete(render_prompt(strategy, message)))
-    reason = _rejection(strategy, message, text)
-    if reason is not None:
-        raise AugmentationRejected(f"{message.id}: {reason}")
-    if new_id is None:
-        new_id = f"{message.id}__{strategy.token}_0"
-    return message.derive(new_id, text,
-                          Origin(strategy=strategy.cli_name, source_id=message.id))
 
 
 @dataclass

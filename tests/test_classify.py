@@ -8,8 +8,8 @@ from eventaug.classify import (DegenerateDataError, TrainConfig,
                                ratio_study, save_model, softmax,
                                subsample_indices, train, write_ratio_csv)
 from eventaug.classify import ClassifierModel
-from eventaug.core import (BadMagicError, NonFinitePayloadError,
-                           TruncatedPayloadError)
+from eventaug.core import (BadMagicError, EmbeddingFormatError,
+                           NonFinitePayloadError, TruncatedPayloadError)
 from eventaug.perturb import PerturbationConfig
 
 
@@ -194,6 +194,38 @@ class TestModelFile:
             load_model(path)
         path.write_bytes(blob)
         assert load_model(path).metadata == {"seed": 21}
+
+    def test_rejects_corrupt_metadata_trailer(self, tmp_path):
+        rng = np.random.default_rng(22)
+        path = tmp_path / "m.sedmdl"
+        for trial in range(4):
+            shape = (int(rng.integers(2, 5)), int(rng.integers(1, 6)))
+            model = ClassifierModel(weights=rng.normal(size=shape),
+                                    bias=rng.normal(size=shape[0]),
+                                    metadata={"seed": trial, "note": "trailer"})
+            save_model(model, path)
+            blob = path.read_bytes()
+            trailer = 16 + 4 * shape[0] * (shape[1] + 1) + 4
+            corrupt = [blob[:-1] + b"x"]  # right length, not JSON
+            for _ in range(5):  # right length, not UTF-8
+                bad = bytearray(blob)
+                bad[int(rng.integers(trailer, len(blob)))] = 0xFF
+                corrupt.append(bytes(bad))
+            meta = b"[1]"  # JSON, but not an object
+            corrupt.append(blob[:trailer - 4] + len(meta).to_bytes(4, "little") + meta)
+            for bad in corrupt:
+                path.write_bytes(bad)
+                with pytest.raises(EmbeddingFormatError, match=str(path)):
+                    load_model(path)
+
+    def test_non_finite_model_is_not_written(self, tmp_path):
+        path = tmp_path / "m.sedmdl"
+        for bad in (np.nan, np.inf, 1e300):  # 1e300 overflows float32
+            model = ClassifierModel(weights=np.array([[1.0, bad], [0.0, 1.0]]),
+                                    bias=np.zeros(2))
+            with pytest.raises(NonFinitePayloadError), np.errstate(over="ignore"):
+                save_model(model, path)
+            assert not path.exists()
 
 
 class TestRatioStudy:

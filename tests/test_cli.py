@@ -185,6 +185,18 @@ class TestTrain:
                    "--epochs", "5"])
         assert rc == 4
 
+    def test_diverged_training_writes_no_model(self, tmp_path, capsys):
+        corpus_path, fused_path = write_train_fixture(tmp_path)
+        out = tmp_path / "diverged"
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--corpus", corpus_path, "--fused", fused_path,
+                       "--out", str(out), "--lr", "1e300", "--epochs", "5",
+                       "--no-implicit"])
+        assert rc == 1
+        assert "NaN or Inf" in capsys.readouterr().err
+        assert not (out / "model.sedmdl").exists()
+        assert not (out / "report.json").exists()
+
     def test_bad_profile_is_config_error(self, tmp_path):
         corpus_path, fused_path = write_train_fixture(tmp_path)
         rc = main(["train", "--corpus", corpus_path, "--fused", fused_path,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eventaug.core import (BadMagicError, EmbeddingMatrix,
+from eventaug.core import (BadMagicError, EmbeddingFormatError, EmbeddingMatrix,
                            NonFinitePayloadError, RngStream, SplitSpec,
                            TruncatedPayloadError, read_embeddings, split,
                            write_embeddings)
@@ -86,6 +86,32 @@ class TestEmbeddingFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(NonFinitePayloadError):
             read_embeddings(path)
+
+    def test_rejects_every_cut_bad_id_and_duplicate(self, tmp_path):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "m.sedemb"
+
+        def rejected(blob):
+            path.write_bytes(bytes(blob))
+            with pytest.raises(EmbeddingFormatError, match=str(path)):
+                read_embeddings(path)
+
+        for trial in range(6):
+            n, dim = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            ids = [f"id{trial}-{i}" for i in range(n)]  # all the same length
+            write_embeddings(EmbeddingMatrix(
+                ids, rng.normal(size=(n, dim)).astype(np.float32)), path)
+            blob = path.read_bytes()
+            for cut in range(len(blob)):
+                rejected(blob[:cut])
+            starts = [16 + 4 + i * (4 + len(ids[0])) for i in range(n)]
+            bad = bytearray(blob)
+            bad[starts[int(rng.integers(n))] + int(rng.integers(len(ids[0])))] = 0xFF
+            rejected(bad)  # not UTF-8
+            dup = bytearray(blob)
+            i, j = rng.choice(n, size=2, replace=False)
+            dup[starts[j]:starts[j] + len(ids[0])] = ids[i].encode()
+            rejected(dup)
 
 
 class TestSplit:

@@ -107,10 +107,8 @@ class TestBuildGraph:
             make_message("a", entities=["X"]),
             make_message("b", entities=["Y"]),
         ))
-        g = build_graph(corpus)
-        assert g.num_users == 1
-        assert g.num_user_edges == 2
-        assert g.num_entity_edges == 2
+        stats = build_graph(corpus).stats()
+        assert (stats["users"], stats["user_edges"], stats["entity_edges"]) == (1, 2, 2)
 
     def test_json_dump_parses(self, graph_corpus):
         g = build_graph(graph_corpus)

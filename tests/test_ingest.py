@@ -163,8 +163,8 @@ class TestAttachEmbeddings:
         values = np.arange(12.0, dtype=np.float32).reshape(4, 3)
         emb = EmbeddingMatrix(["m2", "m0", "extra", "m1"], values)
         aligned = attach_embeddings(corpus, emb)
-        assert aligned.embeddings.ids == ["m0", "m1", "m2"]
-        assert np.array_equal(aligned.embeddings.row("m2"), values[0])
+        assert aligned.ids == ["m0", "m1", "m2"]
+        assert np.array_equal(aligned.row("m2"), values[0])
 
     def test_missing_id_named(self):
         corpus = Corpus(messages=(make_message("m1"), make_message("m2")))
@@ -176,7 +176,7 @@ class TestAttachEmbeddings:
         corpus = Corpus(messages=(make_message("m1"),))
         emb = EmbeddingMatrix(["m1"], np.ones((1, 768), dtype=np.float32))
         aligned = attach_embeddings(corpus, emb)
-        assert aligned.embeddings.dim == 768
+        assert aligned.dim == 768
 
     def test_zero_dim_rejected(self):
         corpus = Corpus(messages=(make_message("m1"),))

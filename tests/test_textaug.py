@@ -7,13 +7,12 @@ import pytest
 from eventaug.core import SplitSpec
 from eventaug.ingest import Corpus
 from eventaug.textaug import (ALL_STRATEGIES, ADD_CONTEXT, KEEP_ENTITY,
-                              PARAPHRASE, STYLE_TRANSFER, AugmentationRejected,
-                              DropEntityProvider, EchoProvider,
-                              FailingProvider, HttpProvider, ProviderConfig,
+                              PARAPHRASE, STYLE_TRANSFER, DropEntityProvider,
+                              EchoProvider, HttpProvider, ProviderConfig,
                               ProviderError, ResponseCache, ShuffleProvider,
-                              Strategy, augment_corpus, augment_message,
-                              cache_key, check_entity_preservation,
-                              clean_response, extract_rewrite, render_prompt)
+                              Strategy, augment_corpus, cache_key,
+                              check_entity_preservation, clean_response,
+                              extract_rewrite, render_prompt)
 
 from conftest import make_message
 
@@ -28,6 +27,24 @@ class CountingProvider:
         with self.lock:
             self.calls += 1
         return self.inner.complete(prompt)
+
+
+class FailingProvider:
+    """Fault-injection mock: fails for the prompts ``fail_when`` selects."""
+
+    def __init__(self, inner, fail_when):
+        self.inner = inner
+        self.fail_when = fail_when
+
+    def complete(self, prompt):
+        if self.fail_when(prompt):
+            raise ProviderError("injected failure")
+        return self.inner.complete(prompt)
+
+
+def augment_one(provider, strategy, message):
+    """augment_corpus on a one-message corpus, without a cache."""
+    return augment_corpus(Corpus(messages=(message,)), [strategy], provider)
 
 
 def small_corpus(n=10):
@@ -105,9 +122,11 @@ class TestAugmentMessage:
     def test_echo_preserves_everything(self):
         msg = make_message("m1", "storm hits Miami", entities=["Miami"],
                            location="FL", label=3)
-        out = augment_message(EchoProvider(), PARAPHRASE, msg)
+        result = augment_one(EchoProvider(), PARAPHRASE, msg)
+        assert result.corpus.messages[0] == msg
+        out = result.corpus.messages[1]
         assert out.text == msg.text
-        assert out.id != msg.id
+        assert out.id == "m1__paraphrase_0"
         assert out.origin.strategy == "paraphrase"
         assert out.origin.source_id == "m1"
         for attr in ("user_id", "timestamp", "entities", "location", "label"):
@@ -115,25 +134,32 @@ class TestAugmentMessage:
 
     def test_keep_entity_rejects_dropped_entity(self):
         msg = make_message("m1", "storm hits Miami", entities=["Miami"])
-        with pytest.raises(AugmentationRejected):
-            augment_message(DropEntityProvider("Miami"), KEEP_ENTITY, msg)
+        result = augment_one(DropEntityProvider("Miami"), KEEP_ENTITY, msg)
+        assert (result.generated, len(result.corpus)) == (0, 1)
+        assert result.failures == [
+            ("m1", "keep-entity", "dropped required entity", "rejected")]
 
     def test_empty_response_rejected(self):
         class Silent:
             def complete(self, prompt):
                 return "   "
-        with pytest.raises(AugmentationRejected):
-            augment_message(Silent(), PARAPHRASE, make_message("m1", "text"))
+        result = augment_one(Silent(), PARAPHRASE, make_message("m1", "text"))
+        assert result.generated == 0
+        assert result.failures == [("m1", "paraphrase", "empty response", "rejected")]
 
-    def test_already_augmented_rejected(self):
-        msg = make_message("m1", "text")
-        out = augment_message(EchoProvider(), PARAPHRASE, msg)
-        with pytest.raises(ValueError):
-            augment_message(EchoProvider(), PARAPHRASE, out)
+    def test_rerun_varies_only_originals(self):
+        corpus = small_corpus(4)
+        first = augment_corpus(corpus, [PARAPHRASE], EchoProvider())
+        rerun = augment_corpus(first.corpus, [PARAPHRASE, ADD_CONTEXT], EchoProvider())
+        # the paraphrases exist already; only add-context variants are new
+        assert (rerun.originals, rerun.generated) == (4, 4)
+        new = rerun.corpus.messages[len(first.corpus):]
+        assert {m.origin.source_id for m in new} == set(corpus.ids())
+        assert all(m.origin.strategy == "add-context" for m in new)
 
     def test_shuffle_mock_changes_text(self):
         msg = make_message("m1", "alpha beta gamma delta")
-        out = augment_message(ShuffleProvider(), STYLE_TRANSFER, msg)
+        out = augment_one(ShuffleProvider(), STYLE_TRANSFER, msg).corpus.messages[1]
         assert out.text != msg.text
         assert sorted(out.text.split()) == sorted(msg.text.split())
 
@@ -295,6 +321,7 @@ class TestCache:
 
 class _Handler(BaseHTTPRequestHandler):
     fail_first = 0
+    fail_status = 500
     seen = []
 
     def do_POST(self):
@@ -302,7 +329,7 @@ class _Handler(BaseHTTPRequestHandler):
         type(self).seen.append((dict(self.headers), body))
         if type(self).fail_first > 0:
             type(self).fail_first -= 1
-            self.send_response(500)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         prompt = body["messages"][0]["content"]
@@ -326,6 +353,7 @@ def http_endpoint():
     thread.start()
     _Handler.seen = []
     _Handler.fail_first = 0
+    _Handler.fail_status = 500
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
 
@@ -342,7 +370,7 @@ class TestHttpProvider:
         monkeypatch.setenv("EVENTAUG_API_TOKEN", "secret-token")
         provider = HttpProvider(ProviderConfig(endpoint=http_endpoint))
         msg = make_message("m1", "storm hits Miami")
-        out = augment_message(provider, PARAPHRASE, msg)
+        out = augment_one(provider, PARAPHRASE, msg).corpus.messages[1]
         assert out.text == "reworded: storm hits Miami"
         headers, body = _Handler.seen[-1]
         assert body["max_tokens"] == 1000
@@ -354,6 +382,7 @@ class TestHttpProvider:
                                                max_retries=3))
         assert provider.complete(render_prompt(
             PARAPHRASE, make_message("m1", "x y z"))).startswith("reworded:")
+        assert len(_Handler.seen) == 3
 
     def test_exhausted_retries_raise(self, http_endpoint):
         _Handler.fail_first = 99
@@ -361,3 +390,32 @@ class TestHttpProvider:
                                                max_retries=2))
         with pytest.raises(ProviderError):
             provider.complete(render_prompt(PARAPHRASE, make_message("m1", "x")))
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_client_error_is_not_retried(self, http_endpoint, status):
+        _Handler.fail_first = 99
+        _Handler.fail_status = status
+        provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
+                                               max_retries=3))
+        with pytest.raises(ProviderError, match=str(status)):
+            provider.complete(render_prompt(PARAPHRASE, make_message("m1", "x")))
+        assert len(_Handler.seen) == 1
+
+    def test_malformed_reply_is_not_retried(self, http_endpoint):
+        _Handler.fail_first = 99
+        _Handler.fail_status = 200  # an empty body
+        provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
+                                               max_retries=3))
+        with pytest.raises(ProviderError, match="malformed"):
+            provider.complete(render_prompt(PARAPHRASE, make_message("m1", "x")))
+        assert len(_Handler.seen) == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 503])
+    def test_transient_status_is_retried(self, http_endpoint, status):
+        _Handler.fail_first = 1
+        _Handler.fail_status = status
+        provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
+                                               max_retries=2))
+        assert provider.complete(render_prompt(
+            PARAPHRASE, make_message("m1", "x y"))).startswith("reworded:")
+        assert len(_Handler.seen) == 2
