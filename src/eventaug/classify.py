@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .core import (MODEL_MAGIC, BadMagicError, EmbeddingFormatError, EmbeddingMatrix,
-                   NonFinitePayloadError, RngStream, TruncatedPayloadError)
+                   NonFinitePayloadError, RngStream, TruncatedPayloadError,
+                   atomic_write)
 from .metrics import EvalReport, evaluate
 from .perturb import DatasetStats, PerturbationConfig, dataset_std, mix_rows
 
@@ -172,7 +173,7 @@ def save_model(model: ClassifierModel, path) -> None:
     if not np.isfinite(params).all():
         raise NonFinitePayloadError(f"refusing to write NaN or Inf parameters to {path}")
     meta = json.dumps(model.metadata, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(_U32.pack(model.num_classes))
         fh.write(_U32.pack(model.dim))
@@ -264,7 +265,7 @@ def ratio_study(train_x, train_y, test_x, test_y, ratios,
 
 
 def write_ratio_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("ratio,arm,micro_f1,macro_f1\n")
         for r in rows:
             fh.write(f"{r.ratio},{r.arm},{r.micro_f1:.6f},{r.macro_f1:.6f}\n")

@@ -8,8 +8,11 @@ threads. Random state is never shared: parallel work derives its own
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,6 +197,25 @@ def split(ids, labels, spec: SplitSpec):
     return train, val, test
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temporary file next to ``path`` for writing and move it onto
+    ``path`` (``os.replace``) when the block ends. If the block raises, the
+    temporary file is removed and an existing ``path`` keeps its old
+    content. The temporary name is ``path.tmp.<pid>.<thread id>``, so
+    writers in other processes or threads never share one."""
+    path = os.fspath(path)
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_embeddings(m: EmbeddingMatrix, path) -> None:
     """Write a matrix in SEDEMB01 format.
 
@@ -205,7 +227,7 @@ def write_embeddings(m: EmbeddingMatrix, path) -> None:
         raise NonFinitePayloadError("refusing to write non-finite values")
     payload = np.ascontiguousarray(m.values, dtype="<f4").tobytes()
     try:
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(EMBEDDING_MAGIC)
             fh.write(_U32.pack(m.rows))
             fh.write(_U32.pack(m.dim))

@@ -16,13 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingMatrix
+from .core import EmbeddingMatrix, atomic_write
+
+_CHUNK = 1 << 16  # values that histogram converts and bins at a time
 
 
-def _values(matrix) -> np.ndarray:
+def _array(matrix) -> np.ndarray:
+    """The values as they are stored: no copy and no change of dtype."""
     if isinstance(matrix, EmbeddingMatrix):
-        return matrix.values.astype(np.float64)
-    return np.asarray(matrix, dtype=np.float64)
+        return matrix.values
+    return np.asarray(matrix)
 
 
 def _ids(matrix, n: int) -> list[str]:
@@ -45,16 +48,21 @@ class MomentReport:
 
 
 def moments(before, after, pooled: bool = True) -> MomentReport:
-    b, a = _values(before), _values(after)
+    """Population mean and std of each side, reduced in float64. One side at
+    a time is converted, so at most one float64 copy is alive."""
+    b, a = _array(before), _array(after)
     if b.shape != a.shape:
         raise ValueError(f"shape mismatch: {b.shape} vs {a.shape}")
+    axis = None if pooled else 0
+    reduced = []
+    for side in (b, a):
+        x = np.asarray(side, dtype=np.float64)
+        reduced += [x.mean(axis=axis), x.std(axis=axis)]
+        del x  # freed before the next side is converted
     if pooled:
-        return MomentReport(float(b.mean()), float(b.std()),
-                            float(a.mean()), float(a.std()),
-                            count=b.size, pooled=True)
-    return MomentReport(b.mean(axis=0), b.std(axis=0),
-                        a.mean(axis=0), a.std(axis=0),
-                        count=b.shape[0], pooled=False)
+        reduced = [float(r) for r in reduced]
+    return MomentReport(*reduced, count=b.size if pooled else b.shape[0],
+                        pooled=pooled)
 
 
 @dataclass(frozen=True)
@@ -70,10 +78,13 @@ def histogram(values, bins: int, value_range) -> Histogram:
 
     Bins are half-open [edge_i, edge_{i+1}) except the last, which is closed,
     so a value on an interior edge falls in the upper bin and hi itself is
-    counted. Out-of-range values land in the underflow/overflow buckets;
-    counts + underflow + overflow always equals len(values).
+    counted. Out-of-range values, -inf and +inf included, land in the
+    underflow/overflow buckets; counts + underflow + overflow always equals
+    len(values). NaN belongs to no bucket and is rejected. Values are
+    converted to float64 and binned _CHUNK at a time, so the temporaries
+    stay small whatever the input size.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
+    v = np.asarray(values).ravel()
     if v.size == 0:
         raise ValueError("histogram needs at least one value")
     lo, hi = float(value_range[0]), float(value_range[1])
@@ -82,13 +93,20 @@ def histogram(values, bins: int, value_range) -> Histogram:
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
 
-    underflow = int((v < lo).sum())
-    overflow = int((v > hi).sum())
-    inside = v[(v >= lo) & (v <= hi)]
     width = (hi - lo) / bins
-    idx = np.floor((inside - lo) / width).astype(np.int64)
-    np.clip(idx, 0, bins - 1, out=idx)  # hi (and rounding at hi) -> last bin
-    counts = np.bincount(idx, minlength=bins)
+    counts = np.zeros(bins, dtype=np.intp)
+    underflow = overflow = 0
+    for start in range(0, v.size, _CHUNK):
+        chunk = np.asarray(v[start:start + _CHUNK], dtype=np.float64)
+        below, above = int((chunk < lo).sum()), int((chunk > hi).sum())
+        inside = chunk[(chunk >= lo) & (chunk <= hi)]
+        if below + above + inside.size != chunk.size:
+            raise ValueError("histogram values contain NaN")
+        idx = np.floor((inside - lo) / width).astype(np.int64)
+        np.clip(idx, 0, bins - 1, out=idx)  # hi (and rounding at hi) -> last bin
+        counts += np.bincount(idx, minlength=bins)
+        underflow += below
+        overflow += above
     edges = lo + width * np.arange(bins + 1)
     return Histogram(edges=edges, counts=counts, underflow=underflow,
                      overflow=overflow)
@@ -101,17 +119,19 @@ def pca2(matrix):
     population covariance (``np.linalg.eigh``), and explained variances
     below zero from rounding are clipped to zero. Sign convention: the
     largest-magnitude loading of each component is positive. Rank-0 input
-    yields zero coordinates and zero explained variance.
+    yields zero coordinates and zero explained variance. The input is left
+    as it is: its one float64 copy is centred in place.
     """
-    x = _values(matrix)
-    if x.ndim != 2 or x.shape[0] < 2:
+    centered = np.array(_array(matrix), dtype=np.float64)
+    if centered.ndim != 2 or centered.shape[0] < 2:
         raise ValueError("pca2 needs at least 2 rows")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / x.shape[0]
+    n = centered.shape[0]
+    centered -= centered.mean(axis=0)
+    cov = centered.T @ centered / n
     eigenvalues, eigenvectors = np.linalg.eigh(cov)  # ascending
     explained = np.maximum(eigenvalues[::-1][:2], 0.0)
     if explained[0] == 0.0:
-        return np.zeros((x.shape[0], 2)), np.zeros(2)
+        return np.zeros((n, 2)), np.zeros(2)
     components = eigenvectors[:, ::-1][:, :2]
     largest = np.abs(components).argmax(axis=0)
     components = components * np.sign(components[largest, [0, 1]])
@@ -189,25 +209,28 @@ def render_scatter_svg(coords_before: np.ndarray, coords_after: np.ndarray,
     )
 
 
-def export_plots(before, after, out_dir, bins: int = 100) -> list[str]:
-    """Write the four diagnostic CSVs and two SVG renderings for a
-    before/after pair; returns the created file paths."""
-    b, a = _values(before), _values(after)
+def _export_plots(before, after, out_dir, bins: int = 100):
+    """:func:`export_plots`, returning (paths, the pooled MomentReport that
+    moments.csv holds)."""
+    b, a = _array(before), _array(after)
     if b.shape != a.shape:
         raise ValueError(f"shape mismatch: {b.shape} vs {a.shape}")
     os.makedirs(out_dir, exist_ok=True)
 
-    pooled = np.concatenate([b.ravel(), a.ravel()])
-    lo, hi = float(pooled.min()), float(pooled.max())
+    # min and max are exact in the stored dtype: no pooled float64 copy
+    lo = min(float(b.min()), float(a.min()))
+    hi = max(float(b.max()), float(a.max()))
     if hi <= lo:
         hi = lo + 1.0
     hist_b = histogram(b, bins, (lo, hi))
     hist_a = histogram(a, bins, (lo, hi))
 
-    ids = _ids(before, b.shape[0])
-    stacked = np.vstack([b, a])
+    n = b.shape[0]
+    ids = _ids(before, n)
+    stacked = np.vstack([b, a])  # float32 for EmbeddingMatrix inputs
     coords, explained = pca2(stacked)
-    coords_b, coords_a = coords[:b.shape[0]], coords[b.shape[0]:]
+    del stacked  # freed before moments makes its float64 copies
+    coords_b, coords_a = coords[:n], coords[n:]
 
     report = moments(b, a, pooled=True)
 
@@ -215,7 +238,7 @@ def export_plots(before, after, out_dir, bins: int = 100) -> list[str]:
 
     def emit(name: str, text: str):
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         paths.append(path)
 
@@ -242,4 +265,12 @@ def export_plots(before, after, out_dir, bins: int = 100) -> list[str]:
 
     emit("histogram.svg", render_histogram_svg(hist_b, hist_a))
     emit("pca.svg", render_scatter_svg(coords_b, coords_a))
-    return paths
+    return paths, report
+
+
+def export_plots(before, after, out_dir, bins: int = 100) -> list[str]:
+    """Write the four diagnostic CSVs and two SVG renderings for a
+    before/after pair; returns the created file paths. Memory stays within
+    about six times one side's float32 bytes beyond the inputs: pca2's
+    float32 stack and its float64 copy."""
+    return _export_plots(before, after, out_dir, bins)[0]

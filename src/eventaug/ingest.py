@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EmbeddingMatrix, Message, Origin
+from .core import EmbeddingMatrix, Message, Origin, atomic_write
 
 SECONDS_PER_DAY = 86400
 
@@ -134,7 +134,7 @@ def parse_corpus(path) -> Corpus:
 
 def write_corpus(corpus: Corpus, path) -> None:
     """Write messages as JSONL; inverse of parse_corpus for valid corpora."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for m in corpus.messages:
             obj = {
                 "id": m.id,

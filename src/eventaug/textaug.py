@@ -29,7 +29,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .core import Message, Origin, SplitSpec, split
+from .core import Message, Origin, SplitSpec, atomic_write, split
 from .ingest import Corpus
 
 SOURCE_OPEN = "<<<"
@@ -244,10 +244,19 @@ class DropEntityProvider:
         return pattern.sub("", source)
 
 
+def _retry_after(headers) -> float | None:
+    """The delay of a ``Retry-After`` header given in whole seconds, or None
+    when it is absent, an HTTP-date or malformed."""
+    value = headers.get("Retry-After", "").strip() if headers else ""
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 class HttpProvider:
     """Chat-completion-style HTTP client with bounded retries. Timeouts,
     connection errors and HTTP 408, 429 and 5xx are retried; any other
-    HTTP status or a malformed reply fails at once."""
+    HTTP status or a malformed reply fails at once. A retry waits as long
+    as the failed reply's ``Retry-After`` asks, in whole seconds, and
+    otherwise backs off exponentially."""
 
     def __init__(self, config: ProviderConfig):
         if not config.endpoint:
@@ -269,22 +278,25 @@ class HttpProvider:
         if token:
             headers["Authorization"] = f"Bearer {token}"
         last_error = None
+        delay = None
         for attempt in range(self.config.max_retries):
             if attempt:
-                time.sleep(min(2.0, 0.1 * 2 ** (attempt - 1)))
+                time.sleep(delay if delay is not None
+                           else min(2.0, 0.1 * 2 ** (attempt - 1)))
             request = urllib.request.Request(
                 self.config.endpoint, data=body, headers=headers, method="POST")
             try:
                 with urllib.request.urlopen(request, timeout=60) as response:
                     raw = response.read()
             except urllib.error.HTTPError as exc:
+                exc.close()  # the error reply holds the connection open
                 if exc.code < 500 and exc.code not in (408, 429):
                     raise ProviderError(
                         f"provider answered HTTP {exc.code} {exc.reason}") from exc
-                last_error = exc
+                last_error, delay = exc, _retry_after(exc.headers)
                 continue
             except OSError as exc:  # timeouts, refused or dropped connections
-                last_error = exc
+                last_error, delay = exc, None
                 continue
             try:
                 return json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
@@ -325,11 +337,8 @@ class ResponseCache:
             return None
 
     def put(self, record: AugmentationRecord) -> None:
-        path = self._path(record.cache_key)
-        tmp = f"{path}.tmp.{os.getpid()}.{id(record)}"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_write(self._path(record.cache_key), "w", encoding="utf-8") as fh:
             json.dump(vars(record), fh, ensure_ascii=False, indent=2)
-        os.replace(tmp, path)
 
 
 def cache_key(prompt: str, model: str, copy_idx: int) -> str:

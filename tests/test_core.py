@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from eventaug.core import (BadMagicError, EmbeddingFormatError, EmbeddingMatrix,
                            NonFinitePayloadError, RngStream, SplitSpec,
-                           TruncatedPayloadError, read_embeddings, split,
-                           write_embeddings)
+                           TruncatedPayloadError, atomic_write, read_embeddings,
+                           split, write_embeddings)
 
 from conftest import make_message
 
@@ -112,6 +114,37 @@ class TestEmbeddingFile:
             i, j = rng.choice(n, size=2, replace=False)
             dup[starts[j]:starts[j] + len(ids[0])] = ids[i].encode()
             rejected(dup)
+
+
+class TestAtomicWrite:
+    def test_writer_that_raises_leaves_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, "w", encoding="utf-8") as fh:
+                fh.write("new, half written")
+                raise RuntimeError("writer failed")
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_finished_write_replaces_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with atomic_write(path, "wb") as fh:
+            fh.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failed_embedding_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "e.sedemb"
+        write_embeddings(EmbeddingMatrix(["a"], [[1.0]]), path)
+        old = path.read_bytes()
+        # a lone surrogate cannot be encoded: the write fails after the header
+        bad = EmbeddingMatrix(["b", "\ud800"], [[2.0], [3.0]])
+        with pytest.raises(UnicodeEncodeError):
+            write_embeddings(bad, path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["e.sedemb"]
 
 
 class TestSplit:

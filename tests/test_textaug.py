@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -322,6 +323,7 @@ class TestCache:
 class _Handler(BaseHTTPRequestHandler):
     fail_first = 0
     fail_status = 500
+    retry_after = None  # Retry-After header value of a failed reply
     seen = []
 
     def do_POST(self):
@@ -330,6 +332,8 @@ class _Handler(BaseHTTPRequestHandler):
         if type(self).fail_first > 0:
             type(self).fail_first -= 1
             self.send_response(type(self).fail_status)
+            if type(self).retry_after is not None:
+                self.send_header("Retry-After", type(self).retry_after)
             self.end_headers()
             return
         prompt = body["messages"][0]["content"]
@@ -354,8 +358,10 @@ def http_endpoint():
     _Handler.seen = []
     _Handler.fail_first = 0
     _Handler.fail_status = 500
+    _Handler.retry_after = None
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpProvider:
@@ -419,3 +425,24 @@ class TestHttpProvider:
         assert provider.complete(render_prompt(
             PARAPHRASE, make_message("m1", "x y"))).startswith("reworded:")
         assert len(_Handler.seen) == 2
+
+    @pytest.mark.parametrize("status, retry_after, delays", [
+        (429, "3", [3.0, 3.0]),
+        (503, " 0 ", [0.0, 0.0]),
+        (408, "Wed, 21 Oct 2015 07:28:00 GMT", [0.1, 0.2]),  # HTTP-date: back off
+        (429, "1.5", [0.1, 0.2]),  # not whole seconds: back off
+        (503, "soon", [0.1, 0.2]),
+        (503, None, [0.1, 0.2]),
+    ])
+    def test_retry_after_seconds_replace_the_backoff(self, http_endpoint, monkeypatch,
+                                                     status, retry_after, delays):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        _Handler.fail_first = 2
+        _Handler.fail_status = status
+        _Handler.retry_after = retry_after
+        provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
+                                               max_retries=3))
+        assert provider.complete(render_prompt(
+            PARAPHRASE, make_message("m1", "x y"))).startswith("reworded:")
+        assert slept == delays
