@@ -316,6 +316,8 @@ def cmd_ratio_study(args, config: RunConfig) -> int:
 
 def cmd_diagnose(args, config: RunConfig) -> int:
     before = read_embeddings(_require_file(args.fused, "fused embeddings"))
+    if before.rows == 0:
+        raise DegenerateDataError(f"{args.fused} holds no rows to diagnose")
     spec = config.perturbation
     stats = dataset_std(before) if spec.method == "IDGP" else None
     rng = np.random.default_rng(config.seed)

@@ -225,7 +225,7 @@ def write_embeddings(m: EmbeddingMatrix, path) -> None:
     """
     if m.values.size and not np.isfinite(m.values).all():
         raise NonFinitePayloadError("refusing to write non-finite values")
-    payload = np.ascontiguousarray(m.values, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(m.values, dtype="<f4")
     try:
         with atomic_write(path, "wb") as fh:
             fh.write(EMBEDDING_MAGIC)
@@ -235,7 +235,7 @@ def write_embeddings(m: EmbeddingMatrix, path) -> None:
                 raw = item_id.encode("utf-8")
                 fh.write(_U32.pack(len(raw)))
                 fh.write(raw)
-            fh.write(payload)
+            fh.write(payload)  # the array's own buffer, not a bytes copy
     except OSError as exc:
         raise OSError(f"cannot write embeddings to {path}: {exc}") from exc
 

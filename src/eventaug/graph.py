@@ -24,6 +24,11 @@ minus one; groups partition the messages, so each neighbor counts once.
 Reach sums come from the group x entity incidence (see ``_EntityReach``),
 never from a group x group matrix. A layer costs time linear in messages
 plus entity-group reach, times the embedding dim.
+
+Memory is one float64 matrix of the rows plus blocks of about ``_BLOCK``
+rows. ``fuse`` fills that matrix once; each layer takes its group sums a
+block of whole groups at a time, then combines and normalises the rows a
+block at a time, overwriting the matrix in place.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ import numpy as np
 
 from .core import EmbeddingMatrix
 from .ingest import Corpus, temporal_features
+
+_BLOCK = 2048  # rows that fusion gathers or combines at a time
 
 
 @dataclass(frozen=True)
@@ -156,17 +163,31 @@ def _dense_ids(keys) -> np.ndarray:
 
 
 class _Groups:
-    """Messages partitioned by a dense group id, sorted once so that the
-    per-group row sums are one gather plus one ``np.add.reduceat``."""
+    """Messages partitioned by a dense group id, sorted once. The per-group
+    row sums gather and ``np.add.reduceat`` one block of whole groups at a
+    time: a block starts at a group start and ends at the first group start
+    after about ``_BLOCK`` rows, so every group is reduced over the same
+    rows in the same order as from one full gather."""
 
     def __init__(self, ids: np.ndarray):
         self.order = np.argsort(ids, kind="stable")
-        self.sorted_ids = ids[self.order]
+        sorted_ids = ids[self.order]
         self.counts = np.bincount(ids)
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        self.group_at = sorted_ids[starts]
+        self.bounds = np.append(starts, ids.size)
+        # per block, the index of its first group; then the number of groups
+        self.blocks = np.append(np.unique(np.searchsorted(
+            starts, np.arange(0, ids.size, _BLOCK), side="right") - 1),
+            starts.size)
 
-    def sums(self, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        rows = np.take(x, self.order, axis=0, out=buf)
-        return _segment_sums(rows, self.sorted_ids, self.counts.size)
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.counts.size, x.shape[1]))
+        for a, b in zip(self.blocks[:-1], self.blocks[1:]):
+            lo = self.bounds[a]
+            out[self.group_at[a:b]] = np.add.reduceat(
+                x[self.order[lo:self.bounds[b]]], self.bounds[a:b] - lo, axis=0)
+        return out
 
 
 def _pairs_within(segment: np.ndarray, strict: bool):
@@ -232,20 +253,25 @@ class _EntityReach:
         return out
 
 
-def _add_neighbor_mean(out, buf, sums, group_of, size, x, weight) -> None:
+def _add_neighbor_mean(out, sums, group_of, size, x, weight) -> None:
     """out += weight * (sums[group_of] - x) / size, skipping rows whose
     neighborhood size is 0."""
-    np.take(sums, group_of, axis=0, out=buf)
-    buf -= x
-    buf /= np.maximum(size, 1)[:, None]
-    buf *= np.where(size > 0, weight, 0.0)[:, None]
-    out += buf
+    mean = sums[group_of]
+    mean -= x
+    mean /= np.maximum(size, 1)[:, None]
+    mean *= np.where(size > 0, weight, 0.0)[:, None]
+    out += mean
 
 
 def _fused_rows(graph: HeteroGraph, ids: list[str], x: np.ndarray,
                 params: FusionParams) -> np.ndarray:
     """The float64 aggregation of ``fuse`` over rows ``x`` aligned to
-    ``ids``."""
+    ``ids``. Overwrites ``x`` with the result and returns it.
+
+    A layer first takes the author, entity-set and reach sums, which are
+    group-sized, then combines and normalises ``_BLOCK`` rows at a time and
+    writes them back into ``x``: a row's output needs only its own row and
+    those sums."""
     if len(graph.message_ids) != len(ids):
         raise ValueError("graph and corpus hold different messages")
     user_of = _dense_ids(graph.message_user[mid] for mid in ids)
@@ -258,19 +284,21 @@ def _fused_rows(graph: HeteroGraph, ids: list[str], x: np.ndarray,
     reach_counts = reach.sums(sets.counts[:, None].astype(np.float64))[:, 0]
     entity_size = reach_counts.astype(np.intp)[set_of] - 1
 
-    buf = np.empty_like(x)
     for _ in range(params.layers):
-        user_sums = users.sums(x, buf)
-        entity_sums = reach.sums(sets.sums(x, buf))
-        out = params.w_self * x
-        _add_neighbor_mean(out, buf, user_sums, user_of, user_size, x,
-                           params.w_user)
-        _add_neighbor_mean(out, buf, entity_sums, set_of, entity_size, x,
-                           params.w_entity)
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        np.divide(out, norms, out=out, where=norms > 0)
-        out[norms[:, 0] == 0] = 0.0
-        x = out
+        user_sums = users.sums(x)
+        entity_sums = reach.sums(sets.sums(x))
+        for lo in range(0, len(ids), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            rows = x[block]
+            out = params.w_self * rows
+            _add_neighbor_mean(out, user_sums, user_of[block], user_size[block],
+                               rows, params.w_user)
+            _add_neighbor_mean(out, entity_sums, set_of[block],
+                               entity_size[block], rows, params.w_entity)
+            norms = np.linalg.norm(out, axis=1, keepdims=True)
+            np.divide(out, norms, out=out, where=norms > 0)
+            out[norms[:, 0] == 0] = 0.0
+            rows[...] = out
     return x
 
 
@@ -286,7 +314,9 @@ def fuse(graph: HeteroGraph, message_emb: EmbeddingMatrix, corpus: Corpus,
     if message_emb.ids != ids:
         raise ValueError("embeddings must be aligned to corpus order "
                          "(use ingest.attach_embeddings)")
-    x = np.concatenate(
-        [message_emb.values.astype(np.float64), temporal_features(corpus)], axis=1)
+    rows, dim = message_emb.values.shape
+    x = np.empty((rows, dim + 2))
+    x[:, :dim] = message_emb.values
+    x[:, dim:] = temporal_features(corpus)
     return EmbeddingMatrix(ids, _fused_rows(graph, ids, x, params))
 

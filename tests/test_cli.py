@@ -321,3 +321,21 @@ class TestDiagnose:
         before_line = printed.split("before: ")[1].splitlines()[0]
         after_line = printed.split("after:  ")[1].splitlines()[0]
         assert before_line == after_line
+
+    def test_zero_rows_is_degenerate(self, tmp_path, capsys):
+        fused_path = tmp_path / "empty.sedemb"
+        write_embeddings(EmbeddingMatrix([], np.zeros((0, 6), np.float32)), fused_path)
+        out = tmp_path / "diag"
+        rc = main(["diagnose", "--fused", str(fused_path), "--out", str(out)])
+        assert rc == 4
+        assert str(fused_path) in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["resolved-config.json"]
+
+    def test_one_row_works(self, tmp_path, capsys):
+        fused_path = tmp_path / "one.sedemb"
+        write_embeddings(EmbeddingMatrix(["m0"], [[1.0, -2.0, 0.5]]), fused_path)
+        out = tmp_path / "diag"
+        rc = main(["diagnose", "--fused", str(fused_path), "--out", str(out)])
+        assert rc == 0
+        assert "n=3" in capsys.readouterr().out
+        assert (out / "pca.csv").exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,66 @@ def random_fusion_case(seed):
                                      entities=ents))
     values = rng.normal(size=(n, 4)).astype(np.float32)
     return Corpus(messages=tuple(messages)), values
+
+
+def block_crossing_case(seed, n, dim):
+    """Seeded corpus several fusion blocks long: one author and one
+    entity set each hold more than a block of messages, a fifth of the
+    messages mention no entity and the rest spread over small groups that
+    straddle block cuts; returns (corpus, float32 embedding values)."""
+    rng = np.random.default_rng(seed)
+    pool = ["Storm", "Flood", "Sydney", "Fire", "Road", "Hub", "hub"]
+    messages = []
+    for i in range(n):
+        r = rng.random()
+        if r < 0.2:
+            ents = []
+        elif r < 0.7:
+            ents = [str(rng.choice(["Big", "big", "BIG"]))]
+        else:
+            ents = [str(e) for e in rng.choice(pool, size=int(rng.integers(1, 4)))]
+        user = "whale" if rng.random() < 0.55 else f"u{int(rng.integers(300))}"
+        messages.append(make_message(f"m{i}", user=user,
+                                     ts=1_600_000_000 + int(rng.integers(10 ** 7)),
+                                     entities=ents))
+    values = rng.normal(size=(n, dim)).astype(np.float32)
+    return Corpus(messages=tuple(messages)), values
+
+
+def whole_matrix_reference(graph, ids, x, params):
+    """The fusion formula without blocks: each layer gathers all rows in
+    group order for one ``np.add.reduceat``, then combines every row at
+    once."""
+    def group_sums(group_of, values):
+        order = np.argsort(group_of, kind="stable")
+        sorted_ids = group_of[order]
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        out = np.zeros((sorted_ids.max() + 1, values.shape[1]))
+        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts, axis=0)
+        return out
+
+    def neighbor_mean(sums, group_of, size, rows, weight):
+        mean = (sums[group_of] - rows) / np.maximum(size, 1)[:, None]
+        return mean * np.where(size > 0, weight, 0.0)[:, None]
+
+    user_of = graphmod._dense_ids(graph.message_user[m] for m in ids)
+    keys = [tuple(sorted(graph.message_entities[m])) for m in ids]
+    set_of = graphmod._dense_ids(keys)
+    reach = graphmod._EntityReach(list(dict.fromkeys(keys)))
+    user_size = np.bincount(user_of)[user_of] - 1
+    set_counts = np.bincount(set_of)[:, None].astype(np.float64)
+    entity_size = reach.sums(set_counts)[:, 0].astype(np.intp)[set_of] - 1
+    for _ in range(params.layers):
+        out = params.w_self * x
+        out += neighbor_mean(group_sums(user_of, x), user_of, user_size, x,
+                             params.w_user)
+        out += neighbor_mean(reach.sums(group_sums(set_of, x)), set_of,
+                             entity_size, x, params.w_entity)
+        norms = np.linalg.norm(out, axis=1, keepdims=True)
+        np.divide(out, norms, out=out, where=norms > 0)
+        out[norms[:, 0] == 0] = 0.0
+        x = out
+    return x
 
 
 FUSION_PARAMS = [FusionParams(), FusionParams(layers=2),
@@ -183,6 +244,35 @@ class TestFuse:
         params = FusionParams(w_self=0.9, w_user=0.6, w_entity=0.4, layers=2)
         rows = _fused_rows(build_graph(corpus), corpus.ids(), x, params)
         assert np.abs(rows - oracle_fuse(corpus, values, params)).max() < 1e-12
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_blocks_bitwise_equal_to_whole_matrix(self, layers):
+        corpus, values = block_crossing_case(5, n=5_000, dim=5)
+        ids, graph = corpus.ids(), build_graph(corpus)
+        x = np.concatenate([values.astype(np.float64),
+                            temporal_features(corpus)], axis=1)
+        sizes = [np.bincount(graphmod._dense_ids(keys)).max() for keys in (
+            (graph.message_user[m] for m in ids),
+            (tuple(sorted(graph.message_entities[m])) for m in ids))]
+        assert len(ids) > 2 * graphmod._BLOCK and min(sizes) > graphmod._BLOCK
+        params = FusionParams(w_self=0.9, w_user=0.6, w_entity=0.4, layers=layers)
+        expected = whole_matrix_reference(graph, ids, x.copy(), params)
+        rows = _fused_rows(graph, ids, x, params)
+        assert rows.tobytes() == expected.tobytes()
+        fused = fuse(graph, EmbeddingMatrix(ids, values), corpus, params)
+        assert fused.values.tobytes() == expected.astype(np.float32).tobytes()
+
+    def test_peak_memory_is_bounded(self):
+        corpus, values = block_crossing_case(6, n=8 * graphmod._BLOCK, dim=126)
+        emb, graph = EmbeddingMatrix(corpus.ids(), values), build_graph(corpus)
+        x_bytes = values.shape[0] * (values.shape[1] + 2) * 8
+        tracemalloc.start()
+        try:
+            fuse(graph, emb, corpus, FusionParams(layers=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x_bytes, peak / x_bytes
 
     def test_does_not_query_neighborhoods(self, graph_corpus, graph_embeddings,
                                           monkeypatch):
