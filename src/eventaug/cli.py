@@ -224,7 +224,8 @@ def cmd_augment_text(args, config: RunConfig) -> int:
         copies_per_strategy=config.copies,
         split_spec=config.split if args.train_only else None,
         max_in_flight=config.provider.max_in_flight,
-        model_name=model_name)
+        model_name=model_name,
+        temperature=config.provider.temperature)
 
     out_path = args.out_corpus or os.path.join(config.out_dir, "augmented.jsonl")
     write_corpus(result.corpus, out_path)

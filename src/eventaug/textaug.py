@@ -1,5 +1,6 @@
 """LLM-backed text augmentation: five strategies, deterministic offline
-mocks, an on-disk response cache, and corpus-level orchestration.
+mocks, a response cache kept as one append-only log, and corpus-level
+orchestration.
 
 Strategies (CLI spelling in parentheses):
 
@@ -15,6 +16,10 @@ The provider protocol is a chat-completion-style HTTP POST with JSON body
 ``{model, messages, max_tokens, temperature}``; any compatible endpoint
 works. Mock providers are deterministic functions of the prompt, which
 embeds the source text between ``<<<`` and ``>>>`` markers.
+
+Replies are cached in ``responses.jsonl`` in the cache directory, keyed by
+(rendered prompt, model, copy index, temperature), so an interrupted run
+resumes without repeating calls (see ``ResponseCache``).
 """
 
 from __future__ import annotations
@@ -23,13 +28,14 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .core import Message, Origin, SplitSpec, atomic_write, split
+from .core import Message, Origin, SplitSpec, split
 from .ingest import Corpus
 
 SOURCE_OPEN = "<<<"
@@ -307,46 +313,72 @@ class HttpProvider:
 
 
 class ResponseCache:
-    """One JSON file per cache key. Inserts are atomic (write + rename) so
-    concurrent writers of distinct keys never corrupt each other."""
+    """Replies in one append-only log, ``responses.jsonl`` in the cache
+    directory, one JSON record per line.
+
+    The log is read once when the cache opens; ``get`` is then a lookup in
+    memory. A line that is torn, not UTF-8, not JSON or not a record is
+    skipped, so its key misses, and when a key appears more than once the
+    last record wins. ``put`` appends one line under a lock, so threads
+    sharing a cache never interleave their records. Per-key ``*.json``
+    files of earlier versions are not read."""
 
     def __init__(self, directory):
         self.directory = str(directory)
+        self.path = os.path.join(self.directory, "responses.jsonl")
+        self._lock = threading.Lock()
         try:
             os.makedirs(self.directory, exist_ok=True)
-            probe = os.path.join(self.directory, ".write-probe")
-            with open(probe, "w") as fh:
-                fh.write("ok")
-            os.remove(probe)
+            with open(self.path, "a+b") as fh:  # creates the log, proves it writable
+                fh.seek(0)
+                data = fh.read()
         except OSError as exc:
             raise OSError(f"cache directory {self.directory} not writable: {exc}") from exc
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
+        self._records = {}
+        for line in data.split(b"\n"):
+            record = _parse_record(line)
+            if record is not None:
+                self._records[record.cache_key] = record
+        # a torn last line gets its newline before the next record
+        self._needs_newline = bool(data) and not data.endswith(b"\n")
 
     def get(self, key: str) -> AugmentationRecord | None:
-        """The stored record, or None on a miss. A file that is truncated,
-        not JSON or not a record also counts as a miss; the next ``put``
-        of that key replaces it."""
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                return AugmentationRecord(**json.load(fh))
-        except FileNotFoundError:
-            return None
-        except (ValueError, TypeError):  # JSON or UTF-8 decoding, bad fields
-            return None
+        """The stored record, or None on a miss."""
+        return self._records.get(key)
 
     def put(self, record: AugmentationRecord) -> None:
-        with atomic_write(self._path(record.cache_key), "w", encoding="utf-8") as fh:
-            json.dump(vars(record), fh, ensure_ascii=False, indent=2)
+        line = (json.dumps(vars(record), ensure_ascii=False) + "\n").encode("utf-8")
+        with self._lock:
+            if self._needs_newline:
+                line = b"\n" + line
+            with open(self.path, "ab") as fh:
+                fh.write(line)
+            self._needs_newline = False
+            self._records[record.cache_key] = record
 
 
-def cache_key(prompt: str, model: str, copy_idx: int) -> str:
-    """Stable hash of (rendered prompt, model name, copy index). The
-    prompt carries the strategy, the template wording, the source text
-    and, for keep-entity, the entity list, so a change to any of them, or
-    another model, misses the cache."""
-    blob = json.dumps([prompt, model, copy_idx], ensure_ascii=False)
+_STR_FIELDS = ("source_id", "strategy", "prompt", "raw_response", "text",
+               "model", "cache_key")
+
+
+def _parse_record(line: bytes) -> AugmentationRecord | None:
+    """The record one log line holds, or None when it holds none."""
+    try:
+        record = AugmentationRecord(**json.loads(line.decode("utf-8")))
+    except (ValueError, TypeError):  # UTF-8 or JSON decoding, not the record's fields
+        return None
+    if not all(isinstance(getattr(record, name), str) for name in _STR_FIELDS) \
+            or not isinstance(record.latency_ms, (int, float)):
+        return None
+    return record
+
+
+def cache_key(prompt: str, model: str, copy_idx: int, temperature: float) -> str:
+    """Stable hash of (rendered prompt, model name, copy index, sampling
+    temperature). The prompt carries the strategy, the template wording,
+    the source text and, for keep-entity, the entity list, so a change to
+    any of them, another model or another temperature misses the cache."""
+    blob = json.dumps([prompt, model, copy_idx, temperature], ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -372,14 +404,17 @@ class AugmentResult:
     failures: list
 
 
-def _run_task(task, provider, cache, model_name):
+def _run_task(task, provider, cache, model_name, temperature):
     """Worker for one (message, strategy, copy) task. Returns
     (message-or-None, failure-or-None, called_provider, cache_hit).
     Failures are (source_id, strategy, reason, kind) with kind in
-    {"provider", "rejected"}."""
+    {"provider", "rejected"}; a blank message is rejected before any
+    provider call or cache entry."""
     message, strategy, copy_idx, new_id = task
+    if not message.text.strip():
+        return None, (message.id, strategy.cli_name, "empty message", "rejected"), False, False
     prompt = render_prompt(strategy, message, copy_idx)
-    key = cache_key(prompt, model_name, copy_idx)
+    key = cache_key(prompt, model_name, copy_idx, temperature)
     record = cache.get(key) if cache is not None else None
     called = record is None
     if called:
@@ -407,14 +442,16 @@ def augment_corpus(corpus: Corpus, strategies, provider,
                    cache_dir=None, copies_per_strategy: int = 1,
                    split_spec: SplitSpec | None = None,
                    max_in_flight: int = 1,
-                   model_name: str = "mock") -> AugmentResult:
+                   model_name: str = "mock",
+                   temperature: float = 1.0) -> AugmentResult:
     """Generate variants for every original message and combine them with
     the input corpus.
 
-    Cached responses are reused (resumable); per-message failures are
-    logged in the result and skipped, never fatal. When a split spec is
-    supplied only training-split originals are augmented, keeping the
-    validation and test splits free of derived text. Results merge in
+    Cached responses of the same prompt, model, copy and ``temperature``
+    are reused (resumable); per-message failures, a blank message among
+    them, are logged in the result and skipped, never fatal. When a split
+    spec is supplied only training-split originals are augmented, keeping
+    the validation and test splits free of derived text. Results merge in
     source-message order regardless of request concurrency.
     """
     strategies = list(strategies)
@@ -440,9 +477,11 @@ def augment_corpus(corpus: Corpus, strategies, provider,
     if max_in_flight > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
             outcomes = list(pool.map(
-                lambda t: _run_task(t, provider, cache, model_name), tasks))
+                lambda t: _run_task(t, provider, cache, model_name, temperature),
+                tasks))
     else:
-        outcomes = [_run_task(t, provider, cache, model_name) for t in tasks]
+        outcomes = [_run_task(t, provider, cache, model_name, temperature)
+                    for t in tasks]
 
     new_messages = []
     failures = []

@@ -89,6 +89,32 @@ class TestAugmentText:
         assert len(variants) == 6
         assert all(v.origin.strategy == "style-transfer" for v in variants)
 
+    def test_blank_message_is_skipped(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(Corpus(messages=(make_message("m0", text="   ", label=0),
+                                      make_message("m1", text="storm in Miami",
+                                                   label=1))), corpus_path)
+        rc = main(["augment-text", "--corpus", str(corpus_path), "--mock",
+                   "shuffle", "--strategy", "paraphrase", "--out",
+                   str(tmp_path / "run")])
+        assert rc == 0
+        assert "generated=1 skipped=1" in capsys.readouterr().out
+        assert len(parse_corpus(tmp_path / "run" / "augmented.jsonl")) == 3
+
+    def test_temperature_is_part_of_the_cache_key(self, tmp_path, capsys):
+        corpus_path, _ = write_train_fixture(tmp_path, n=10)
+        config = tmp_path / "cfg.ini"
+        config.write_text("[explicit]\ntemperature = 0.2\n")
+        args = ["augment-text", "--corpus", corpus_path, "--mock",
+                "--strategy", "paraphrase", "--out", str(tmp_path / "run")]
+        assert main(args) == 0
+        assert main(args + ["--config", str(config)]) == 0
+        assert main(args + ["--config", str(config)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        counts = [line.split("cache_hits=")[1] for line in out if "cache_hits=" in line]
+        assert counts == ["0 provider_calls=10", "0 provider_calls=10",
+                          "10 provider_calls=0"]
+
     def test_missing_endpoint_is_config_error(self, tmp_path):
         corpus_path, _ = write_train_fixture(tmp_path, n=4)
         rc = main(["augment-text", "--corpus", corpus_path,

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -8,10 +9,10 @@ import pytest
 from eventaug.core import SplitSpec
 from eventaug.ingest import Corpus
 from eventaug.textaug import (ALL_STRATEGIES, ADD_CONTEXT, KEEP_ENTITY,
-                              PARAPHRASE, STYLE_TRANSFER, DropEntityProvider,
-                              EchoProvider, HttpProvider, ProviderConfig,
-                              ProviderError, ResponseCache, ShuffleProvider,
-                              Strategy, augment_corpus, cache_key,
+                              PARAPHRASE, STYLE_TRANSFER, AugmentationRecord,
+                              DropEntityProvider, EchoProvider, HttpProvider,
+                              ProviderConfig, ProviderError, ResponseCache,
+                              ShuffleProvider, Strategy, augment_corpus, cache_key,
                               check_entity_preservation, clean_response,
                               extract_rewrite, render_prompt)
 
@@ -46,6 +47,16 @@ class FailingProvider:
 def augment_one(provider, strategy, message):
     """augment_corpus on a one-message corpus, without a cache."""
     return augment_corpus(Corpus(messages=(message,)), [strategy], provider)
+
+
+def make_record(key, text="t"):
+    return AugmentationRecord(
+        source_id="m1", strategy="paraphrase", prompt="p", raw_response="r",
+        text=text, model="mock", latency_ms=1.5, cache_key=key)
+
+
+def log_line(record):
+    return json.dumps(vars(record), ensure_ascii=False).encode("utf-8") + b"\n"
 
 
 def small_corpus(n=10):
@@ -272,52 +283,140 @@ class TestAugmentCorpus:
             if m.origin is not None:  # the echo texts, not model-a's
                 assert m.text == corpus.messages[int(m.origin.source_id[1:])].text
 
+    def test_other_temperature_misses_the_cache(self, tmp_path):
+        corpus = small_corpus(5)
+        augment_corpus(corpus, [PARAPHRASE], EchoProvider(),
+                       cache_dir=tmp_path / "c", temperature=1.0)
+        provider = CountingProvider(EchoProvider())
+        other = augment_corpus(corpus, [PARAPHRASE], provider,
+                               cache_dir=tmp_path / "c", temperature=0.2)
+        assert provider.calls == 5
+        assert (other.provider_calls, other.cache_hits) == (5, 0)
+        provider = CountingProvider(EchoProvider())
+        same = augment_corpus(corpus, [PARAPHRASE], provider,
+                              cache_dir=tmp_path / "c", temperature=0.2)
+        assert provider.calls == 0
+        assert (same.provider_calls, same.cache_hits) == (0, 5)
+
+    @pytest.mark.parametrize("max_in_flight", [1, 4])
+    def test_blank_message_is_rejected_not_fatal(self, tmp_path, max_in_flight):
+        corpus = Corpus(messages=(make_message("blank", text="   ", label=0),
+                                  make_message("m1", text="storm hits Miami",
+                                               label=1)))
+        provider = CountingProvider(ShuffleProvider())
+        result = augment_corpus(corpus, [PARAPHRASE, ADD_CONTEXT], provider,
+                                cache_dir=tmp_path / "c",
+                                max_in_flight=max_in_flight)
+        assert result.failures == [
+            ("blank", "paraphrase", "empty message", "rejected"),
+            ("blank", "add-context", "empty message", "rejected")]
+        assert (result.generated, result.skipped) == (2, 2)
+        assert provider.calls == result.provider_calls == 2
+        log = (tmp_path / "c" / "responses.jsonl").read_bytes().splitlines()
+        assert [json.loads(line)["source_id"] for line in log] == ["m1", "m1"]
+
     def test_truncated_cache_file_is_a_miss(self, tmp_path):
         corpus = small_corpus(4)
         cache_dir = tmp_path / "c"
         first = augment_corpus(corpus, [PARAPHRASE], EchoProvider(),
                                cache_dir=cache_dir)
-        victim = sorted(cache_dir.glob("*.json"))[0]
-        victim.write_bytes(victim.read_bytes()[:victim.stat().st_size // 2])
+        log = cache_dir / "responses.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        keys = [json.loads(line)["cache_key"] for line in lines]
+        log.write_bytes(b"".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+        torn = ResponseCache(cache_dir)
+        assert [torn.get(k) is not None for k in keys] == [True, True, True, False]
         provider = CountingProvider(EchoProvider())
         rerun = augment_corpus(corpus, [PARAPHRASE], provider,
                                cache_dir=cache_dir)
         assert (rerun.provider_calls, rerun.cache_hits) == (1, 3)
         assert rerun.corpus == first.corpus
-        # put replaced the bad file with a whole record
-        assert json.loads(victim.read_text())["cache_key"] == victim.stem
+        # the new record went onto a line of its own, after the torn one
+        fresh = ResponseCache(cache_dir)
+        assert all(fresh.get(k) is not None for k in keys)
 
 
 class TestCache:
     def test_key_depends_on_strategy_and_text(self):
-        def key(strategy, text, model="m", copy_idx=0):
+        def key(strategy, text, model="m", copy_idx=0, temperature=1.0):
             msg = make_message("m1", text, entities=["hello"])
-            return cache_key(render_prompt(strategy, msg, copy_idx), model, copy_idx)
+            return cache_key(render_prompt(strategy, msg, copy_idx), model, copy_idx,
+                             temperature)
         a = key(PARAPHRASE, "hello")
         assert a == key(PARAPHRASE, "hello")
         assert a != key(ADD_CONTEXT, "hello")
         assert a != key(PARAPHRASE, "other")
         assert a != key(PARAPHRASE, "hello", model="other-model")
         assert a != key(PARAPHRASE, "hello", copy_idx=1)
+        assert a != key(PARAPHRASE, "hello", temperature=0.2)
         assert key(KEEP_ENTITY, "hello") != key(PARAPHRASE, "hello")
 
-    @pytest.mark.parametrize("content", ["", "{\"source_id\": \"m1\"", "[1, 2]",
-                                         "{\"unexpected\": 1}"])
+    @pytest.mark.parametrize("content", [
+        "", "{\"source_id\": \"m1\"", "[1, 2]", "{\"unexpected\": 1}",
+        pytest.param(log_line(make_record("k" * 64, text="caf\u00e9"))
+                     .replace(b"\xc3\xa9", b"\xe9"), id="latin-1-record"),
+        pytest.param(log_line(make_record("k" * 64, text=5)), id="text-not-a-string"),
+    ])
     def test_unreadable_entry_is_a_miss(self, tmp_path, content):
+        line = content.encode() if isinstance(content, str) else content.rstrip(b"\n")
+        good = make_record("g" * 64)
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / "responses.jsonl").write_bytes(
+            line + b"\n" + log_line(good))
         cache = ResponseCache(tmp_path / "cache")
-        (tmp_path / "cache" / ("k" * 64 + ".json")).write_text(content)
         assert cache.get("k" * 64) is None
+        assert cache.get("g" * 64) == good
 
     def test_round_trip(self, tmp_path):
-        from eventaug.textaug import AugmentationRecord
         cache = ResponseCache(tmp_path / "cache")
-        record = AugmentationRecord(
-            source_id="m1", strategy="paraphrase", prompt="p",
-            raw_response="r", text="t", model="mock", latency_ms=1.5,
-            cache_key="k" * 64)
+        record = make_record("k" * 64, text="caf\u00e9 \u2028 \"quoted\"\nline")
         cache.put(record)
         assert cache.get("k" * 64) == record
         assert cache.get("missing") is None
+        assert ResponseCache(tmp_path / "cache").get("k" * 64) == record
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["responses.jsonl"]
+
+    def test_last_record_for_a_key_wins(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        cache.put(make_record("k" * 64, text="first"))
+        cache.put(make_record("k" * 64, text="second"))
+        assert cache.get("k" * 64).text == "second"
+        assert ResponseCache(tmp_path / "cache").get("k" * 64).text == "second"
+
+    def test_concurrent_puts_all_survive(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        start = threading.Barrier(2)
+
+        def put_many(prefix):
+            start.wait()
+            for i in range(200):
+                cache.put(make_record(f"{prefix}{i:03d}", text=f"{prefix} {i}" * 50))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put_many, args=(p,)) for p in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        keys = [f"{p}{i:03d}" for p in "ab" for i in range(200)]
+        fresh = ResponseCache(tmp_path / "cache")
+        assert all(fresh.get(k) == cache.get(k) is not None for k in keys)
+        assert len((tmp_path / "cache" / "responses.jsonl").read_bytes().splitlines()) == 400
+
+    def test_old_per_key_files_miss_and_stay(self, tmp_path):
+        old = tmp_path / "cache" / ("k" * 64 + ".json")
+        old.parent.mkdir()
+        old.write_text(json.dumps(vars(make_record("k" * 64)), indent=2))
+        before = old.read_bytes()
+        cache = ResponseCache(tmp_path / "cache")
+        assert cache.get("k" * 64) is None
+        assert old.read_bytes() == before
+        assert sorted(p.name for p in old.parent.iterdir()) == [old.name, "responses.jsonl"]
 
 
 class _Handler(BaseHTTPRequestHandler):
