@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 from eventaug import Corpus, Message, check_entity_preservation, render_prompt
-from eventaug.textaug import (ALL_STRATEGIES, KEEP_ENTITY, DropEntityProvider,
+from eventaug.textaug import (DEFAULT_STRATEGIES, DropEntityProvider,
                               EchoProvider, ShuffleProvider, augment_corpus)
 
 corpus = Corpus(messages=tuple(
@@ -17,14 +17,14 @@ corpus = Corpus(messages=tuple(
             entities=("Lake Tahoe",), label=0)
     for i in range(8)))
 
-print("strategies:", ", ".join(s.cli_name for s in ALL_STRATEGIES))
+print("strategies:", ", ".join(DEFAULT_STRATEGIES))
 print()
 print("prompt for keep-entity on the first message:")
-print(render_prompt(KEEP_ENTITY, corpus.messages[0]))
+print(render_prompt("keep-entity", corpus.messages[0]))
 print()
 
 cache_dir = Path(tempfile.mkdtemp(prefix="eventaug-cache-"))
-result = augment_corpus(corpus, ALL_STRATEGIES, EchoProvider(),
+result = augment_corpus(corpus, DEFAULT_STRATEGIES, EchoProvider(),
                         cache_dir=cache_dir)
 print(f"generated={result.generated} skipped={result.skipped} "
       f"provider_calls={result.provider_calls}")
@@ -34,17 +34,17 @@ print(f"variant {variant.id} keeps source metadata: "
       f"origin=({variant.origin.strategy}, {variant.origin.source_id})")
 
 # identical rerun: every response comes from the cache
-rerun = augment_corpus(corpus, ALL_STRATEGIES, EchoProvider(),
+rerun = augment_corpus(corpus, DEFAULT_STRATEGIES, EchoProvider(),
                        cache_dir=cache_dir)
 print(f"rerun cache_hits={rerun.cache_hits} provider_calls={rerun.provider_calls}")
 
 # the word-rotating mock produces genuinely different text
-rotated = augment_corpus(corpus, [ALL_STRATEGIES[0]], ShuffleProvider())
+rotated = augment_corpus(corpus, ["paraphrase"], ShuffleProvider())
 sample = next(m for m in rotated.corpus.messages if m.origin is not None)
 print(f"\nshuffle mock rewrite: {sample.text!r}")
-print(f"entities preserved: {check_entity_preservation(corpus.messages[0], sample)}")
+print(f"entities preserved: {check_entity_preservation(corpus.messages[0], sample.text)}")
 
 # a provider that damages a required entity gets its output rejected
-broken = augment_corpus(corpus, [KEEP_ENTITY], DropEntityProvider("Lake Tahoe"))
+broken = augment_corpus(corpus, ["keep-entity"], DropEntityProvider("Lake Tahoe"))
 print(f"entity-dropping provider: generated={broken.generated} "
       f"skipped={broken.skipped}")

@@ -18,7 +18,7 @@ from .metrics import EvalReport, evaluate
 from .classify import (ClassifierModel, TrainConfig, load_model, predict,
                        ratio_study, save_model, train)
 from .diagnostics import histogram, moments, pca2, export_plots
-from .textaug import (ProviderConfig, Strategy, augment_corpus,
+from .textaug import (STRATEGIES, ProviderConfig, augment_corpus,
                       check_entity_preservation, render_prompt)
 from .profiles import RunConfig, profile_perturbation, resolve_config
 
@@ -28,7 +28,7 @@ __all__ = [
     "ClassifierModel", "Corpus", "DatasetStats", "EmbeddingMatrix",
     "EvalReport", "FusionParams", "HeteroGraph", "Message", "Origin",
     "PerturbationConfig", "ProviderConfig", "RngStream", "RunConfig",
-    "SplitSpec", "Strategy", "TrainConfig", "attach_embeddings",
+    "STRATEGIES", "SplitSpec", "TrainConfig", "attach_embeddings",
     "augment_corpus", "build_graph", "check_entity_preservation", "cgp",
     "dataset_std", "evaluate", "export_plots", "fdp", "frequency_mask",
     "fuse", "gp", "histogram", "idgp", "load_model", "mix_rows", "moments",

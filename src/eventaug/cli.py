@@ -26,15 +26,13 @@ from .classify import (DegenerateDataError, eval_report_json,
                        write_ratio_csv)
 from .core import (EmbeddingMatrix, atomic_write, read_embeddings, split,
                    write_embeddings)
-# export_plots here is the variant that also returns the moment report;
-# the traced benchmark times it under this name (bench/tracing.py).
-from .diagnostics import _export_plots as export_plots
+from .diagnostics import export_plots
 from .ingest import attach_embeddings, parse_corpus, with_entities, write_corpus
 from .metrics import evaluate
 from .perturb import dataset_std, perturb
 from .profiles import RunConfig, config_keys, read_config_file, resolve_config
 from .textaug import (EchoProvider, HttpProvider, ProviderError,
-                      ShuffleProvider, Strategy, augment_corpus)
+                      ShuffleProvider, augment_corpus)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -81,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--train-only", action="store_true",
-                   help="augment only the training split of the resolved split spec")
+                   help="augment only the originals of train's training split")
     p.add_argument("--out-corpus", default=None,
                    help="output JSONL path (default: <out>/augmented.jsonl)")
 
@@ -213,16 +211,14 @@ def cmd_augment_text(args, config: RunConfig) -> int:
         provider = HttpProvider(config.provider)
         model_name = config.provider.model
 
-    try:
-        strategies = [Strategy.from_cli_name(s) for s in config.strategies]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    source_ids = ({corpus.messages[i].id for i in _split_rows(corpus, config.split)[0]}
+                  if args.train_only else None)
 
     result = augment_corpus(
-        corpus, strategies, provider,
+        corpus, config.strategies, provider,
         cache_dir=config.cache_dir or os.path.join(config.out_dir, "cache"),
         copies_per_strategy=config.copies,
-        split_spec=config.split if args.train_only else None,
+        source_ids=source_ids,
         max_in_flight=config.provider.max_in_flight,
         model_name=model_name,
         temperature=config.provider.temperature)
@@ -244,20 +240,21 @@ def cmd_augment_text(args, config: RunConfig) -> int:
 
 def cmd_fuse(args, config: RunConfig) -> int:
     corpus = with_entities(parse_corpus(_require_file(args.corpus, "corpus")))
-    emb = read_embeddings(_require_file(args.embeddings, "embeddings"))
-    aligned = attach_embeddings(corpus, emb)
+    # the file's matrix is freed once re-indexed, before fuse
+    aligned = attach_embeddings(
+        corpus, read_embeddings(_require_file(args.embeddings, "embeddings")))
 
     g = graphmod.build_graph(corpus)
     fused = graphmod.fuse(g, aligned, corpus, config.fusion)
     write_embeddings(fused, os.path.join(config.out_dir, "fused.sedemb"))
 
     stats = g.stats()
-    stats.update({"input_dim": emb.dim, "fused_dim": fused.dim})
+    stats.update({"input_dim": aligned.dim, "fused_dim": fused.dim})
     _write_out(config, "graph-stats.json",
                json.dumps(stats, sort_keys=True, indent=2) + "\n")
     if args.dump_graph:
         _write_out(config, "graph.json", g.to_json() + "\n")
-    print(f"fused {fused.rows} messages: dim {emb.dim} -> {fused.dim}")
+    print(f"fused {fused.rows} messages: dim {aligned.dim} -> {fused.dim}")
     print(f"graph: {stats['users']} users, {stats['entities']} entities, "
           f"{stats['entity_edges']} entity edges")
     return EXIT_OK

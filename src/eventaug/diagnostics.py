@@ -209,9 +209,12 @@ def render_scatter_svg(coords_before: np.ndarray, coords_after: np.ndarray,
     )
 
 
-def _export_plots(before, after, out_dir, bins: int = 100):
-    """:func:`export_plots`, returning (paths, the pooled MomentReport that
-    moments.csv holds)."""
+def export_plots(before, after, out_dir, bins: int = 100):
+    """Write the four diagnostic CSVs and two SVG renderings for a
+    before/after pair; returns (the created file paths, the pooled
+    MomentReport that moments.csv holds). Memory stays within about six
+    times one side's float32 bytes beyond the inputs: pca2's float32 stack
+    and its float64 copy."""
     b, a = _array(before), _array(after)
     if b.shape != a.shape:
         raise ValueError(f"shape mismatch: {b.shape} vs {a.shape}")
@@ -266,11 +269,3 @@ def _export_plots(before, after, out_dir, bins: int = 100):
     emit("histogram.svg", render_histogram_svg(hist_b, hist_a))
     emit("pca.svg", render_scatter_svg(coords_b, coords_a))
     return paths, report
-
-
-def export_plots(before, after, out_dir, bins: int = 100) -> list[str]:
-    """Write the four diagnostic CSVs and two SVG renderings for a
-    before/after pair; returns the created file paths. Memory stays within
-    about six times one side's float32 bytes beyond the inputs: pca2's
-    float32 stack and its float64 copy."""
-    return _export_plots(before, after, out_dir, bins)[0]

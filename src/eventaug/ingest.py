@@ -103,8 +103,9 @@ def _message_from_obj(obj: dict, line_no: int) -> Message:
 def parse_corpus(path) -> Corpus:
     """Parse a JSONL corpus, collecting every problem before failing.
 
-    Raises CorpusError listing malformed lines (with line numbers),
-    duplicate ids (citing both lines), and dangling augmented source ids.
+    Raises CorpusError listing malformed lines (with line numbers), lines
+    whose strings are not UTF-8 text, duplicate ids (citing both lines),
+    and dangling augmented source ids.
     """
     messages = []
     lines = []
@@ -120,7 +121,13 @@ def parse_corpus(path) -> Corpus:
                 problems.append(f"line {line_no}: invalid JSON ({exc.msg})")
                 continue
             try:
+                if "\\u" in line:  # only an escape can spell a lone surrogate
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
                 msg = _message_from_obj(obj, line_no)
+            except UnicodeEncodeError:
+                problems.append(f"line {line_no}: a string holds a lone surrogate "
+                                "escape, which is not UTF-8 text")
+                continue
             except ValueError as exc:
                 problems.append(str(exc))
                 continue

@@ -27,7 +27,7 @@ from .classify import TrainConfig
 from .core import SplitSpec
 from .graph import FusionParams
 from .perturb import PerturbationConfig
-from .textaug import ProviderConfig
+from .textaug import DEFAULT_STRATEGIES, ProviderConfig, check_strategies
 
 PROFILE_NAMES = ("kawarith6", "twitter2012", "twitter2018", "custom")
 
@@ -107,8 +107,7 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     fusion: FusionParams = field(default_factory=FusionParams)
     provider: ProviderConfig = field(default_factory=ProviderConfig)
-    strategies: tuple[str, ...] = ("paraphrase", "add-context", "style-transfer",
-                                   "keep-entity", "extract-rewrite:keywords")
+    strategies: tuple[str, ...] = DEFAULT_STRATEGIES
     copies: int = 1
     cache_dir: str | None = None
 
@@ -151,14 +150,13 @@ def resolve_config(profile: str | None = None, file_values: dict | None = None,
         strategies = [s.strip() for s in strategies.split(",") if s.strip()]
     copies = int(explicit.pop("copies", 1))
     cache_dir = explicit.pop("cache_dir", None)
-    config = RunConfig(
+    return RunConfig(
         profile=profile, seed=seed, out_dir=run_vals.get("out", "out"),
         split=SplitSpec(**{"seed": seed, **merged("split")}),
         perturbation=perturbation,
         train=TrainConfig(**{**merged("train"), "seed": seed,
                              "perturbation": perturbation}),
         fusion=FusionParams(**merged("fusion")),
-        provider=ProviderConfig(**explicit), copies=copies, cache_dir=cache_dir)
-    if strategies:
-        config.strategies = tuple(strategies)
-    return config
+        provider=ProviderConfig(**explicit),
+        strategies=check_strategies(strategies) if strategies else DEFAULT_STRATEGIES,
+        copies=copies, cache_dir=cache_dir)

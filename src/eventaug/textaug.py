@@ -2,15 +2,15 @@
 mocks, a response cache kept as one append-only log, and corpus-level
 orchestration.
 
-Strategies (CLI spelling in parentheses):
+Strategies are plain names, the keys of ``STRATEGIES``:
 
-* paraphrase (``paraphrase``) -- reword, same meaning.
-* add context (``add-context``) -- expand with a short relevant detail.
-* style transfer (``style-transfer``) -- change tone/formality only.
-* keep entity (``keep-entity``) -- reword but leave listed entities
-  untouched; outputs failing the preservation check are rejected.
-* extract & rewrite (``extract-rewrite:keywords|entities|kg``) -- a
-  two-stage prompt that first extracts key material, then rewrites from it.
+* ``paraphrase`` -- reword, same meaning.
+* ``add-context`` -- expand with a short relevant detail.
+* ``style-transfer`` -- change tone/formality only.
+* ``keep-entity`` -- reword but leave listed entities untouched; outputs
+  failing the preservation check are rejected.
+* ``extract-rewrite:keywords|entities|kg`` -- a two-stage prompt that
+  first extracts key material, then rewrites from it.
 
 The provider protocol is a chat-completion-style HTTP POST with JSON body
 ``{model, messages, max_tokens, temperature}``; any compatible endpoint
@@ -35,67 +35,15 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .core import Message, Origin, SplitSpec, split
+from .core import Message, Origin
 from .ingest import Corpus
 
 SOURCE_OPEN = "<<<"
 SOURCE_CLOSE = ">>>"
 
-_CLI_NAMES = {
-    ("paraphrase", None): "paraphrase",
-    ("add_context", None): "add-context",
-    ("style_transfer", None): "style-transfer",
-    ("keep_entity", None): "keep-entity",
-    ("extract_rewrite", "keywords"): "extract-rewrite:keywords",
-    ("extract_rewrite", "entities"): "extract-rewrite:entities",
-    ("extract_rewrite", "knowledge_graph"): "extract-rewrite:kg",
-}
-_FROM_CLI = {v: k for k, v in _CLI_NAMES.items()}
-
 
 class ProviderError(RuntimeError):
     """Provider unreachable, refusing the request, or failing after all retries."""
-
-
-@dataclass(frozen=True)
-class Strategy:
-    kind: str
-    variant: str | None = None
-
-    def __post_init__(self):
-        if (self.kind, self.variant) not in _CLI_NAMES:
-            raise ValueError(f"unknown strategy {self.kind!r}/{self.variant!r}")
-
-    @property
-    def cli_name(self) -> str:
-        return _CLI_NAMES[(self.kind, self.variant)]
-
-    @property
-    def token(self) -> str:
-        """Filesystem/id-safe spelling."""
-        return self.cli_name.replace(":", "-")
-
-    @staticmethod
-    def from_cli_name(name: str) -> "Strategy":
-        if name not in _FROM_CLI:
-            raise ValueError(
-                f"unknown strategy {name!r}; expected one of {sorted(_FROM_CLI)}")
-        kind, variant = _FROM_CLI[name]
-        return Strategy(kind, variant)
-
-
-PARAPHRASE = Strategy("paraphrase")
-ADD_CONTEXT = Strategy("add_context")
-STYLE_TRANSFER = Strategy("style_transfer")
-KEEP_ENTITY = Strategy("keep_entity")
-
-
-def extract_rewrite(variant: str) -> Strategy:
-    return Strategy("extract_rewrite", variant)
-
-
-ALL_STRATEGIES = (PARAPHRASE, ADD_CONTEXT, STYLE_TRANSFER, KEEP_ENTITY,
-                  extract_rewrite("keywords"))
 
 
 @dataclass(frozen=True)
@@ -131,36 +79,55 @@ _PREAMBLE = ("You augment social media messages for event detection "
              "training data. Reply with the rewritten message only, no "
              "explanations.")
 
-_SINGLE_STAGE = {
-    "paraphrase": ("Rephrase the message below in different words and "
-                   "sentence structure while keeping exactly the same "
-                   "meaning."),
-    "add_context": ("Expand the message below by adding one short piece of "
-                    "relevant contextual information that makes it clearer; "
-                    "keep the original content intact."),
-    "style_transfer": ("Rewrite the message below in a clearly different "
-                       "style (for example change its tone or formality) "
-                       "without altering its core meaning."),
-}
-
-_EXTRACT_STEP = {
-    "keywords": ("Step 1: using your background knowledge, extract the most "
-                 "informative keywords from the message below."),
-    "entities": ("Step 1: extract the key entities (names, locations, "
-                 "dates) from the message below."),
-    "knowledge_graph": ("Step 1: extract the entities in the message below "
-                        "and the relationships between them as knowledge-"
-                        "graph triples."),
-}
-
 _REWRITE_STEP = ("Step 2: rewrite the message as a new, differently worded "
                  "message built around what you extracted, preserving the "
                  "essential information. Reply with the rewritten message "
                  "only.")
 
+# Strategy name -> the instruction lines of its prompt. The keep-entity
+# line takes the message's entity list as ``{entities}``.
+STRATEGIES = {
+    "paraphrase": ("Rephrase the message below in different words and "
+                   "sentence structure while keeping exactly the same "
+                   "meaning.",),
+    "add-context": ("Expand the message below by adding one short piece of "
+                    "relevant contextual information that makes it clearer; "
+                    "keep the original content intact.",),
+    "style-transfer": ("Rewrite the message below in a clearly different "
+                       "style (for example change its tone or formality) "
+                       "without altering its core meaning.",),
+    "keep-entity": ("Rewrite the message below with different wording. "
+                    "The following entities must remain unchanged and "
+                    "appear verbatim in your rewrite: {entities}.",),
+    "extract-rewrite:keywords": (
+        "Step 1: using your background knowledge, extract the most "
+        "informative keywords from the message below.", _REWRITE_STEP),
+    "extract-rewrite:entities": (
+        "Step 1: extract the key entities (names, locations, dates) from "
+        "the message below.", _REWRITE_STEP),
+    "extract-rewrite:kg": (
+        "Step 1: extract the entities in the message below and the "
+        "relationships between them as knowledge-graph triples.",
+        _REWRITE_STEP),
+}
 
-def render_prompt(strategy: Strategy, message: Message, copy_idx: int = 0) -> str:
-    """Deterministic template fill for the given strategy.
+# The paper's five strategies, run when none are named.
+DEFAULT_STRATEGIES = ("paraphrase", "add-context", "style-transfer",
+                      "keep-entity", "extract-rewrite:keywords")
+
+
+def check_strategies(names) -> tuple[str, ...]:
+    """``names`` as a tuple; ValueError on one that is not in ``STRATEGIES``."""
+    names = tuple(names)
+    for name in names:
+        if name not in STRATEGIES:
+            raise ValueError(f"unknown strategy {name!r}; expected one of "
+                             f"{sorted(STRATEGIES)}")
+    return names
+
+
+def render_prompt(strategy: str, message: Message, copy_idx: int = 0) -> str:
+    """Deterministic template fill for the named strategy.
 
     The source text always sits between the <<< and >>> markers.
     keep-entity prompts list the message entities verbatim in a
@@ -171,18 +138,9 @@ def render_prompt(strategy: Strategy, message: Message, copy_idx: int = 0) -> st
     """
     if not message.text.strip():
         raise ValueError("cannot augment an empty message")
-    if strategy.kind in _SINGLE_STAGE:
-        lines = [_PREAMBLE, _SINGLE_STAGE[strategy.kind]]
-    elif strategy.kind == "keep_entity":
-        entities = ", ".join(message.entities) if message.entities else "(none)"
-        lines = [_PREAMBLE,
-                 "Rewrite the message below with different wording. "
-                 "The following entities must remain unchanged and "
-                 f"appear verbatim in your rewrite: {entities}."]
-    elif strategy.kind == "extract_rewrite":
-        lines = [_PREAMBLE, _EXTRACT_STEP[strategy.variant], _REWRITE_STEP]
-    else:
-        raise ValueError(f"unhandled strategy {strategy!r}")
+    entities = ", ".join(message.entities) if message.entities else "(none)"
+    lines = [_PREAMBLE, *(line.format(entities=entities)
+                          for line in STRATEGIES[strategy])]
     if copy_idx > 0:
         lines.append(f"Write variant number {copy_idx + 1}, worded differently "
                      "from the other variants.")
@@ -204,10 +162,9 @@ def clean_response(raw: str) -> str:
     return re.sub(r"\s+", " ", text).strip()
 
 
-def check_entity_preservation(source: Message, augmented) -> bool:
+def check_entity_preservation(source: Message, text: str) -> bool:
     """True iff every source entity appears case-insensitively in the
     augmented text (substring match; vacuously true without entities)."""
-    text = augmented.text if isinstance(augmented, Message) else augmented
     haystack = text.lower()
     return all(entity.lower() in haystack for entity in source.entities)
 
@@ -382,13 +339,19 @@ def cache_key(prompt: str, model: str, copy_idx: int, temperature: float) -> str
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _rejection(strategy: Strategy, source: Message, text: str) -> str | None:
+def _rejection(strategy: str, source: Message, text: str) -> str | None:
     """Why a cleaned response cannot be used as a variant of ``source``, or
-    None when it can: it is empty, or a keep-entity response dropped one of
-    the source entities."""
+    None when it can: it is empty, it is not UTF-8 text (a lone surrogate,
+    as a reply cut inside an emoji can carry, which neither the cache nor
+    the corpus file can hold), or a keep-entity response dropped one of the
+    source entities."""
     if not text:
         return "empty response"
-    if strategy.kind == "keep_entity" and not check_entity_preservation(source, text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "response is not UTF-8 text"
+    if strategy == "keep-entity" and not check_entity_preservation(source, text):
         return "dropped required entity"
     return None
 
@@ -412,7 +375,7 @@ def _run_task(task, provider, cache, model_name, temperature):
     provider call or cache entry."""
     message, strategy, copy_idx, new_id = task
     if not message.text.strip():
-        return None, (message.id, strategy.cli_name, "empty message", "rejected"), False, False
+        return None, (message.id, strategy, "empty message", "rejected"), False, False
     prompt = render_prompt(strategy, message, copy_idx)
     key = cache_key(prompt, model_name, copy_idx, temperature)
     record = cache.get(key) if cache is not None else None
@@ -422,25 +385,25 @@ def _run_task(task, provider, cache, model_name, temperature):
         try:
             raw = provider.complete(prompt)
         except ProviderError as exc:
-            return None, (message.id, strategy.cli_name, str(exc), "provider"), called, False
+            return None, (message.id, strategy, str(exc), "provider"), called, False
         latency = (time.perf_counter() - started) * 1000.0
         record = AugmentationRecord(
-            source_id=message.id, strategy=strategy.cli_name, prompt=prompt,
+            source_id=message.id, strategy=strategy, prompt=prompt,
             raw_response=raw, text=clean_response(raw), model=model_name,
             latency_ms=latency, cache_key=key)
     reason = _rejection(strategy, message, record.text)
     if reason is not None:
-        return None, (message.id, strategy.cli_name, reason, "rejected"), called, not called
+        return None, (message.id, strategy, reason, "rejected"), called, not called
     if called and cache is not None:
         cache.put(record)
     out = message.derive(new_id, record.text,
-                         Origin(strategy=strategy.cli_name, source_id=message.id))
+                         Origin(strategy=strategy, source_id=message.id))
     return out, None, called, not called
 
 
 def augment_corpus(corpus: Corpus, strategies, provider,
                    cache_dir=None, copies_per_strategy: int = 1,
-                   split_spec: SplitSpec | None = None,
+                   source_ids=None,
                    max_in_flight: int = 1,
                    model_name: str = "mock",
                    temperature: float = 1.0) -> AugmentResult:
@@ -449,27 +412,24 @@ def augment_corpus(corpus: Corpus, strategies, provider,
 
     Cached responses of the same prompt, model, copy and ``temperature``
     are reused (resumable); per-message failures, a blank message among
-    them, are logged in the result and skipped, never fatal. When a split
-    spec is supplied only training-split originals are augmented, keeping
-    the validation and test splits free of derived text. Results merge in
-    source-message order regardless of request concurrency.
+    them, are logged in the result and skipped, never fatal. When
+    ``source_ids`` (a set) is given only the originals with those ids are
+    augmented, so a caller can keep the validation and test splits free of
+    derived text. Results merge in source-message order regardless of
+    request concurrency. An unknown strategy name raises ``ValueError``
+    before any request.
     """
-    strategies = list(strategies)
+    strategies = check_strategies(strategies)
     cache = ResponseCache(cache_dir) if cache_dir is not None else None
     originals = corpus.originals()
-    targets = originals
-    if split_spec is not None:
-        train_ids, _, _ = split([m.id for m in originals],
-                                [m.label for m in originals], split_spec)
-        keep = set(train_ids)
-        targets = [m for m in originals if m.id in keep]
+    targets = [m for m in originals if source_ids is None or m.id in source_ids]
 
     existing = {m.id for m in corpus.messages}
     tasks = []
     for message in targets:
         for strategy in strategies:
             for copy_idx in range(copies_per_strategy):
-                new_id = f"{message.id}__{strategy.token}_{copy_idx}"
+                new_id = f"{message.id}__{strategy.replace(':', '-')}_{copy_idx}"
                 if new_id in existing:
                     continue  # idempotent rerun on an already-augmented corpus
                 tasks.append((message, strategy, copy_idx, new_id))
@@ -483,20 +443,11 @@ def augment_corpus(corpus: Corpus, strategies, provider,
         outcomes = [_run_task(t, provider, cache, model_name, temperature)
                     for t in tasks]
 
-    new_messages = []
-    failures = []
-    cache_hits = 0
-    provider_calls = 0
-    for message, failure, called, hit in outcomes:
-        provider_calls += int(called)
-        cache_hits += int(hit)
-        if message is not None:
-            new_messages.append(message)
-        else:
-            failures.append(failure)
-
-    combined = Corpus(messages=tuple(corpus.messages) + tuple(new_messages))
-    return AugmentResult(corpus=combined, originals=len(originals),
-                         generated=len(new_messages), skipped=len(failures),
-                         cache_hits=cache_hits, provider_calls=provider_calls,
+    new_messages = tuple(out[0] for out in outcomes if out[0] is not None)
+    failures = [out[1] for out in outcomes if out[1] is not None]
+    return AugmentResult(corpus=Corpus(messages=corpus.messages + new_messages),
+                         originals=len(originals), generated=len(new_messages),
+                         skipped=len(failures),
+                         cache_hits=sum(out[3] for out in outcomes),
+                         provider_calls=sum(out[2] for out in outcomes),
                          failures=failures)

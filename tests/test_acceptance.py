@@ -14,8 +14,8 @@ from eventaug.ingest import Corpus
 from eventaug.metrics import evaluate
 from eventaug.perturb import (DatasetStats, PerturbationConfig, cgp, fdp, gp,
                               idgp, mix_rows, pgp)
-from eventaug.textaug import (ALL_STRATEGIES, KEEP_ENTITY,
-                              DropEntityProvider, EchoProvider, augment_corpus)
+from eventaug.textaug import (DEFAULT_STRATEGIES, DropEntityProvider,
+                              EchoProvider, augment_corpus)
 
 from conftest import make_message
 from test_cli import write_graph_fixture, write_train_fixture
@@ -366,7 +366,7 @@ def test_criterion_11_explicit_contract(tmp_path):
         for i in range(100))
     corpus = Corpus(messages=messages)
 
-    result = augment_corpus(corpus, list(ALL_STRATEGIES), EchoProvider(),
+    result = augment_corpus(corpus, DEFAULT_STRATEGIES, EchoProvider(),
                             cache_dir=tmp_path / "cache")
     total = len(result.corpus)
     by_id = {m.id: m for m in corpus.messages}
@@ -378,7 +378,7 @@ def test_criterion_11_explicit_contract(tmp_path):
         and m.label == by_id[m.origin.source_id].label
         for m in result.corpus.messages if m.origin is not None)
 
-    dropping = augment_corpus(corpus, [KEEP_ENTITY],
+    dropping = augment_corpus(corpus, ["keep-entity"],
                               DropEntityProvider("Miami"),
                               cache_dir=tmp_path / "cache2")
     rejected = dropping.generated == 0 and dropping.skipped == 100 and \

@@ -1,12 +1,15 @@
+import gc
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from eventaug import cli, graph
 from eventaug.classify import load_model
 from eventaug.cli import main
-from eventaug.core import EmbeddingMatrix, write_embeddings
+from eventaug.core import EmbeddingMatrix, SplitSpec, split, write_embeddings
 from eventaug.ingest import Corpus, parse_corpus, write_corpus
 from eventaug.perturb import PerturbationConfig
 from eventaug.profiles import config_keys
@@ -115,6 +118,60 @@ class TestAugmentText:
         assert counts == ["0 provider_calls=10", "0 provider_calls=10",
                           "10 provider_calls=0"]
 
+    def test_train_only_augments_the_training_originals(self, tmp_path):
+        # every fourth original is unlabeled: train splits only the labeled
+        messages = tuple(make_message(f"m{i}", text=f"storm report {i}",
+                                      label=None if i % 4 == 3 else i % 2)
+                         for i in range(40))
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(Corpus(messages=messages), corpus_path)
+        assert main(["augment-text", "--corpus", str(corpus_path), "--mock",
+                     "--strategy", "paraphrase", "--train-only", "--seed", "3",
+                     "--out", str(tmp_path / "run")]) == 0
+        labeled = [m for m in messages if m.label is not None]
+        train_ids, _, _ = split([m.id for m in labeled], [m.label for m in labeled],
+                                SplitSpec(seed=3))
+        augmented = parse_corpus(tmp_path / "run" / "augmented.jsonl")
+        sources = [m.origin.source_id for m in augmented.messages
+                   if m.origin is not None]
+        assert sorted(sources) == sorted(train_ids)
+
+    def test_train_only_without_labeled_originals_is_degenerate(self, tmp_path):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(Corpus(messages=(make_message("m0", text="storm"),)), corpus_path)
+        assert main(["augment-text", "--corpus", str(corpus_path), "--mock",
+                     "--train-only", "--out", str(tmp_path / "run")]) == 4
+
+    def test_unknown_strategy_is_config_error(self, tmp_path, monkeypatch):
+        calls = []
+
+        class Recording:
+            def complete(self, prompt):
+                calls.append(prompt)
+                return prompt
+
+        monkeypatch.setitem(cli._MOCKS, "echo", Recording)
+        corpus_path, _ = write_train_fixture(tmp_path, n=4)
+        rc = main(["augment-text", "--corpus", corpus_path, "--mock",
+                   "--strategy", "paraphrase", "--strategy", "backtranslate",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert calls == []
+        assert not (tmp_path / "run" / "augmented.jsonl").exists()
+
+    def test_lone_surrogate_line_is_a_numbered_error(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(Corpus(messages=(make_message("m0", text="storm", label=0),)),
+                     corpus_path)
+        with open(corpus_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "m1", "text": "storm \ud83d", "user_id": "u1",
+                                 "timestamp": 1_600_000_000}) + "\n")
+        rc = main(["augment-text", "--corpus", str(corpus_path), "--mock",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "lone surrogate" in err
+
     def test_missing_endpoint_is_config_error(self, tmp_path):
         corpus_path, _ = write_train_fixture(tmp_path, n=4)
         rc = main(["augment-text", "--corpus", corpus_path,
@@ -149,6 +206,28 @@ class TestFuse:
         assert stats["user_edges"] == 5
         assert stats["entity_edges"] == 6
         assert (tmp_path / "fuse_out" / "resolved-config.json").exists()
+
+    def test_file_matrix_is_freed_before_fuse(self, tmp_path, graph_corpus,
+                                              monkeypatch):
+        corpus_path, emb_path = write_graph_fixture(tmp_path, graph_corpus)
+        read, fuse = cli.read_embeddings, graph.fuse
+        refs, alive = [], []
+
+        def reading(path):
+            matrix = read(path)
+            refs.append(weakref.ref(matrix))
+            return matrix
+
+        def fusing(*args, **kwargs):
+            gc.collect()
+            alive.append(refs[0]() is not None)
+            return fuse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_embeddings", reading)
+        monkeypatch.setattr(graph, "fuse", fusing)
+        assert main(["fuse", "--corpus", corpus_path, "--embeddings", emb_path,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert alive == [False]
 
     def test_byte_identical_reruns(self, tmp_path, graph_corpus):
         corpus_path, emb_path = write_graph_fixture(tmp_path, graph_corpus)

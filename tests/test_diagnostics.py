@@ -5,7 +5,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from eventaug import diagnostics
 from eventaug.core import EmbeddingMatrix
 from eventaug.diagnostics import (Histogram, export_plots, histogram, moments, pca2,
                                   render_histogram_svg, render_scatter_svg)
@@ -219,7 +218,7 @@ class TestExportPlots:
         rng = np.random.default_rng(52)
         before = rng.normal(size=(40, 6))
         after = gp(before, 0.1, np.random.default_rng(53))
-        paths = export_plots(before, after, tmp_path)
+        paths, _ = export_plots(before, after, tmp_path)
         names = sorted(os.path.basename(p) for p in paths)
         assert names == ["explained_variance.csv", "histogram.csv",
                          "histogram.svg", "moments.csv", "pca.csv", "pca.svg"]
@@ -256,7 +255,7 @@ class TestExportPlots:
         after = EmbeddingMatrix([f"m{i}*" for i in range(n)],
                                 perturb(before.values, config, dataset_std(before),
                                         np.random.default_rng(60)))
-        paths, report = diagnostics._export_plots(before, after, tmp_path)
+        paths, report = export_plots(before, after, tmp_path)
         files, stats = reference_files(before, after)
         assert sorted(os.path.basename(p) for p in paths) == sorted(files)
         for name, text in files.items():

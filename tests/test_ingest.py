@@ -52,6 +52,17 @@ class TestParseCorpus:
         with pytest.raises(CorpusError, match="line 2"):
             parse_corpus(path)
 
+    def test_lone_surrogate_is_a_numbered_problem(self, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        # json.dumps escapes non-ASCII, so every line holds a \u escape
+        write_lines(path, [line("m1", text="caf\u00e9 \ud83c\udf0a"),
+                           line("m2", text="storm \ud83d"),
+                           line("m3", entities=["\udc00"])])
+        with pytest.raises(CorpusError) as exc:
+            parse_corpus(path)
+        assert [p.split(":")[0] for p in exc.value.problems] == ["line 2", "line 3"]
+        assert all("lone surrogate" in p for p in exc.value.problems)
+
     def test_dangling_augmented_source(self, tmp_path):
         path = tmp_path / "dangling.jsonl"
         write_lines(path, [

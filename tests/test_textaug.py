@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -6,15 +7,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from eventaug.core import SplitSpec
-from eventaug.ingest import Corpus
-from eventaug.textaug import (ALL_STRATEGIES, ADD_CONTEXT, KEEP_ENTITY,
-                              PARAPHRASE, STYLE_TRANSFER, AugmentationRecord,
+from eventaug.ingest import Corpus, write_corpus
+from eventaug.textaug import (DEFAULT_STRATEGIES, STRATEGIES, AugmentationRecord,
                               DropEntityProvider, EchoProvider, HttpProvider,
                               ProviderConfig, ProviderError, ResponseCache,
-                              ShuffleProvider, Strategy, augment_corpus, cache_key,
+                              ShuffleProvider, augment_corpus, cache_key,
                               check_entity_preservation, clean_response,
-                              extract_rewrite, render_prompt)
+                              render_prompt)
 
 from conftest import make_message
 
@@ -65,47 +64,91 @@ def small_corpus(n=10):
                      entities=["Miami"], label=i % 2) for i in range(n)))
 
 
+SEVEN = ("paraphrase", "add-context", "style-transfer", "keep-entity",
+         "extract-rewrite:keywords", "extract-rewrite:entities",
+         "extract-rewrite:kg")
+
+
 class TestStrategy:
     def test_exactly_five_kinds(self):
-        kinds = {s.kind for s in ALL_STRATEGIES}
-        assert kinds == {"paraphrase", "add_context", "style_transfer",
-                         "keep_entity", "extract_rewrite"}
-        assert len(ALL_STRATEGIES) == 5
+        # the paper's five families, one name each, all in the table
+        assert DEFAULT_STRATEGIES == ("paraphrase", "add-context",
+                                      "style-transfer", "keep-entity",
+                                      "extract-rewrite:keywords")
+        assert set(DEFAULT_STRATEGIES) <= set(STRATEGIES)
 
     def test_cli_round_trip(self):
-        for name in ("paraphrase", "add-context", "style-transfer",
-                     "keep-entity", "extract-rewrite:keywords",
-                     "extract-rewrite:entities", "extract-rewrite:kg"):
-            assert Strategy.from_cli_name(name).cli_name == name
+        # a name goes in as given and comes back in the variant's origin
+        assert tuple(STRATEGIES) == SEVEN
+        result = augment_corpus(small_corpus(1), SEVEN, EchoProvider())
+        assert [m.origin.strategy for m in result.corpus.messages[1:]] == list(SEVEN)
+        assert [m.id for m in result.corpus.messages[1:]] == [
+            f"m0__{name.replace(':', '-')}_0" for name in SEVEN]
 
-    def test_unknown_names_rejected(self):
-        with pytest.raises(ValueError):
-            Strategy.from_cli_name("backtranslate")
-        with pytest.raises(ValueError):
-            Strategy("extract_rewrite", "emojis")
+    def test_unknown_names_rejected(self, tmp_path):
+        provider = CountingProvider(EchoProvider())
+        for name in ("backtranslate", "extract-rewrite:emojis", "keep_entity"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                augment_corpus(small_corpus(2), ["paraphrase", name], provider,
+                               cache_dir=tmp_path / "c")
+        assert provider.calls == 0
+        assert not (tmp_path / "c").exists()
 
 
 class TestRenderPrompt:
     def test_byte_stable(self):
         msg = make_message("m1", "storm hits Miami")
-        assert render_prompt(PARAPHRASE, msg) == render_prompt(PARAPHRASE, msg)
-        assert "storm hits Miami" in render_prompt(PARAPHRASE, msg)
+        assert render_prompt("paraphrase", msg) == render_prompt("paraphrase", msg)
+        assert "storm hits Miami" in render_prompt("paraphrase", msg)
 
     def test_keep_entity_lists_entities(self):
         msg = make_message("m1", "storm hits Miami", entities=["Miami"])
-        prompt = render_prompt(KEEP_ENTITY, msg)
+        prompt = render_prompt("keep-entity", msg)
         assert "Miami" in prompt
         assert "remain unchanged" in prompt
 
     def test_extract_rewrite_has_two_stages(self):
         msg = make_message("m1", "storm hits Miami")
-        for variant in ("keywords", "entities", "knowledge_graph"):
-            prompt = render_prompt(extract_rewrite(variant), msg)
+        for variant in ("keywords", "entities", "kg"):
+            prompt = render_prompt(f"extract-rewrite:{variant}", msg)
             assert "Step 1" in prompt and "Step 2" in prompt
+
+    # sha256 of each prompt, taken before strategies became plain names;
+    # the prompt is the cache key's input, so these pin every cached reply
+    PINNED = {
+        ("paraphrase", 0): "0bd5efc640c10c99749fda71b21eae454b11d592c2eaf763b99f882f22f17f23",
+        ("paraphrase", 1): "69337f30236b41b483798b3bc945d6eaf2fd67ae81845ef955188e196de54dbc",
+        ("add-context", 0): "60410fcf4959bd04af6e05d0ba974608ad94ad7709f2bad7bb6b1ac1a44d46c1",
+        ("add-context", 1): "d7d942aa5b8e237cd97fae58328cdcfbdab24298e75d30a94fca209325747823",
+        ("style-transfer", 0): "2e7a3ed72d6b8ccbb889480cbec356d3bd66a376955290466762828fadc08cb6",
+        ("style-transfer", 1): "aaf6ac330994aabeb3197a8da86fadaba8597fd71dc5ef90989881d972d558f1",
+        ("keep-entity", 0): "c35610d8e28c864235ebd2afc9681dcbd8acb6ff14d13c9cf4ad042ba51ada96",
+        ("keep-entity", 1): "2783897701ad31e32e4027ddafc07d92a9c570e41a9557660e2cfb9d6800cab7",
+        ("extract-rewrite:keywords", 0):
+            "01b36c4c071b7b11a13af1cc532818fac1be62bf84ef03b34a23462f74332ce5",
+        ("extract-rewrite:keywords", 1):
+            "e7629aff2231c28023c59a2fb2934ad7c6de36d5f456300bc270927f440975a0",
+        ("extract-rewrite:entities", 0):
+            "72e8a0b627aec45e49998f0802c3e98fe9db9f4a4f60f8bda3032de129d2f17e",
+        ("extract-rewrite:entities", 1):
+            "94f9a996a9d753836fb9635daa724c697d1d74061a6ef339fc0f313c6f190302",
+        ("extract-rewrite:kg", 0):
+            "e952fda412a33bd9c3fd283a489c9ffafa6001d8b2eb63c7570ceed7910fc738",
+        ("extract-rewrite:kg", 1):
+            "e8d18151a5bb318963a47d0a4901a148cab0703d17ab42e790f86037992637b7",
+    }
+
+    def test_prompts_match_pinned_digests(self):
+        msg = make_message("m1", "storm {hits} Miami near #Bondi Beach \u00e9",
+                           entities=["Miami", "Bondi Beach"], label=0)
+        got = {(name, copy_idx): hashlib.sha256(
+                   render_prompt(name, msg, copy_idx).encode("utf-8")).hexdigest()
+               for name in SEVEN for copy_idx in (0, 1)}
+        assert got == self.PINNED
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            render_prompt(PARAPHRASE, make_message("m1", "   "))
+            render_prompt("paraphrase", make_message("m1", "   "))
 
 
 class TestCleanResponse:
@@ -134,7 +177,7 @@ class TestAugmentMessage:
     def test_echo_preserves_everything(self):
         msg = make_message("m1", "storm hits Miami", entities=["Miami"],
                            location="FL", label=3)
-        result = augment_one(EchoProvider(), PARAPHRASE, msg)
+        result = augment_one(EchoProvider(), "paraphrase", msg)
         assert result.corpus.messages[0] == msg
         out = result.corpus.messages[1]
         assert out.text == msg.text
@@ -146,7 +189,7 @@ class TestAugmentMessage:
 
     def test_keep_entity_rejects_dropped_entity(self):
         msg = make_message("m1", "storm hits Miami", entities=["Miami"])
-        result = augment_one(DropEntityProvider("Miami"), KEEP_ENTITY, msg)
+        result = augment_one(DropEntityProvider("Miami"), "keep-entity", msg)
         assert (result.generated, len(result.corpus)) == (0, 1)
         assert result.failures == [
             ("m1", "keep-entity", "dropped required entity", "rejected")]
@@ -155,23 +198,39 @@ class TestAugmentMessage:
         class Silent:
             def complete(self, prompt):
                 return "   "
-        result = augment_one(Silent(), PARAPHRASE, make_message("m1", "text"))
+        result = augment_one(Silent(), "paraphrase", make_message("m1", "text"))
         assert result.generated == 0
         assert result.failures == [("m1", "paraphrase", "empty response", "rejected")]
 
     def test_rerun_varies_only_originals(self):
         corpus = small_corpus(4)
-        first = augment_corpus(corpus, [PARAPHRASE], EchoProvider())
-        rerun = augment_corpus(first.corpus, [PARAPHRASE, ADD_CONTEXT], EchoProvider())
+        first = augment_corpus(corpus, ["paraphrase"], EchoProvider())
+        rerun = augment_corpus(first.corpus, ["paraphrase", "add-context"], EchoProvider())
         # the paraphrases exist already; only add-context variants are new
         assert (rerun.originals, rerun.generated) == (4, 4)
         new = rerun.corpus.messages[len(first.corpus):]
         assert {m.origin.source_id for m in new} == set(corpus.ids())
         assert all(m.origin.strategy == "add-context" for m in new)
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_lone_surrogate_reply_is_rejected(self, tmp_path, cached):
+        class CutEmoji:  # a reply cut by max_tokens inside a surrogate pair
+            def complete(self, prompt):
+                return "storm \ud83d"
+        cache_dir = tmp_path / "c" if cached else None
+        corpus = Corpus(messages=(make_message("m1", "storm hits Miami"),))
+        result = augment_corpus(corpus, ["paraphrase"], CutEmoji(),
+                                cache_dir=cache_dir)
+        assert result.failures == [
+            ("m1", "paraphrase", "response is not UTF-8 text", "rejected")]
+        assert (result.generated, len(result.corpus)) == (0, 1)
+        write_corpus(result.corpus, tmp_path / "out.jsonl")
+        if cached:
+            assert (tmp_path / "c" / "responses.jsonl").read_bytes() == b""
+
     def test_shuffle_mock_changes_text(self):
         msg = make_message("m1", "alpha beta gamma delta")
-        out = augment_one(ShuffleProvider(), STYLE_TRANSFER, msg).corpus.messages[1]
+        out = augment_one(ShuffleProvider(), "style-transfer", msg).corpus.messages[1]
         assert out.text != msg.text
         assert sorted(out.text.split()) == sorted(msg.text.split())
 
@@ -179,7 +238,7 @@ class TestAugmentMessage:
 class TestAugmentCorpus:
     def test_counts_one_strategy(self, tmp_path):
         corpus = small_corpus(10)
-        result = augment_corpus(corpus, [PARAPHRASE], EchoProvider(),
+        result = augment_corpus(corpus, ["paraphrase"], EchoProvider(),
                                 cache_dir=tmp_path / "cache")
         assert len(result.corpus) == 20
         assert result.generated == 10
@@ -188,9 +247,9 @@ class TestAugmentCorpus:
     def test_warm_cache_skips_provider(self, tmp_path):
         corpus = small_corpus(10)
         provider = CountingProvider(EchoProvider())
-        augment_corpus(corpus, [PARAPHRASE], provider, cache_dir=tmp_path / "c")
+        augment_corpus(corpus, ["paraphrase"], provider, cache_dir=tmp_path / "c")
         assert provider.calls == 10
-        rerun = augment_corpus(corpus, [PARAPHRASE], provider,
+        rerun = augment_corpus(corpus, ["paraphrase"], provider,
                                cache_dir=tmp_path / "c")
         assert provider.calls == 10  # zero new calls
         assert rerun.cache_hits == 10
@@ -201,7 +260,7 @@ class TestAugmentCorpus:
         corpus = small_corpus(10)
         flaky = FailingProvider(EchoProvider(),
                                 fail_when=lambda p: "number 3" in p or "number 7" in p)
-        result = augment_corpus(corpus, [PARAPHRASE], flaky,
+        result = augment_corpus(corpus, ["paraphrase"], flaky,
                                 cache_dir=tmp_path / "c")
         assert result.generated == 8
         assert result.skipped == 2
@@ -210,7 +269,7 @@ class TestAugmentCorpus:
 
     def test_multiplicative_counts(self, tmp_path):
         corpus = small_corpus(4)
-        result = augment_corpus(corpus, [PARAPHRASE, ADD_CONTEXT],
+        result = augment_corpus(corpus, ["paraphrase", "add-context"],
                                 EchoProvider(), cache_dir=tmp_path / "c",
                                 copies_per_strategy=2)
         # 4 originals * 2 strategies * 2 copies = 16 variants
@@ -219,35 +278,31 @@ class TestAugmentCorpus:
 
     def test_split_restricts_to_training_messages(self, tmp_path):
         corpus = small_corpus(10)
-        spec = SplitSpec(0.7, 0.1, 0.2, seed=5)
-        result = augment_corpus(corpus, [PARAPHRASE], EchoProvider(),
-                                cache_dir=tmp_path / "c", split_spec=spec)
-        assert result.generated == 7
-        from eventaug.core import split
-        train_ids = set(split([m.id for m in corpus.messages],
-                              [m.label for m in corpus.messages], spec)[0])
-        for m in result.corpus.messages:
-            if m.origin is not None:
-                assert m.origin.source_id in train_ids
+        train_ids = {"m1", "m4", "m5", "m8"}
+        result = augment_corpus(corpus, ["paraphrase"], EchoProvider(),
+                                cache_dir=tmp_path / "c", source_ids=train_ids)
+        assert (result.originals, result.generated) == (10, 4)
+        assert {m.origin.source_id for m in result.corpus.messages
+                if m.origin is not None} == train_ids
 
     def test_concurrent_run_matches_sequential(self, tmp_path):
         corpus = small_corpus(12)
-        seq = augment_corpus(corpus, list(ALL_STRATEGIES), EchoProvider(),
+        seq = augment_corpus(corpus, list(DEFAULT_STRATEGIES), EchoProvider(),
                              cache_dir=tmp_path / "a")
-        par = augment_corpus(corpus, list(ALL_STRATEGIES), EchoProvider(),
+        par = augment_corpus(corpus, list(DEFAULT_STRATEGIES), EchoProvider(),
                              cache_dir=tmp_path / "b", max_in_flight=6)
         assert [m.id for m in seq.corpus.messages] == \
             [m.id for m in par.corpus.messages]
         assert seq.corpus == par.corpus
 
     def test_without_cache_dir(self):
-        result = augment_corpus(small_corpus(3), [PARAPHRASE], EchoProvider())
+        result = augment_corpus(small_corpus(3), ["paraphrase"], EchoProvider())
         assert result.generated == 3
 
     def test_each_copy_is_its_own_request(self, tmp_path):
         corpus = small_corpus(3)
         provider = CountingProvider(ShuffleProvider())
-        result = augment_corpus(corpus, [PARAPHRASE, KEEP_ENTITY], provider,
+        result = augment_corpus(corpus, ["paraphrase", "keep-entity"], provider,
                                 cache_dir=tmp_path / "c", copies_per_strategy=3)
         # 3 provider calls per (message, strategy), none served from the cache
         assert provider.calls == 3 * 2 * 3
@@ -262,9 +317,9 @@ class TestAugmentCorpus:
 
     def test_copy_zero_matches_single_copy_run(self, tmp_path):
         corpus = small_corpus(4)
-        one = augment_corpus(corpus, [PARAPHRASE], ShuffleProvider(),
+        one = augment_corpus(corpus, ["paraphrase"], ShuffleProvider(),
                              cache_dir=tmp_path / "a")
-        three = augment_corpus(corpus, [PARAPHRASE], ShuffleProvider(),
+        three = augment_corpus(corpus, ["paraphrase"], ShuffleProvider(),
                                cache_dir=tmp_path / "b", copies_per_strategy=3)
         texts = {m.id: m.text for m in three.corpus.messages}
         for m in one.corpus.messages:
@@ -272,10 +327,10 @@ class TestAugmentCorpus:
 
     def test_other_model_misses_the_cache(self, tmp_path):
         corpus = small_corpus(5)
-        augment_corpus(corpus, [PARAPHRASE], ShuffleProvider(),
+        augment_corpus(corpus, ["paraphrase"], ShuffleProvider(),
                        cache_dir=tmp_path / "c", model_name="model-a")
         provider = CountingProvider(EchoProvider())
-        rerun = augment_corpus(corpus, [PARAPHRASE], provider,
+        rerun = augment_corpus(corpus, ["paraphrase"], provider,
                                cache_dir=tmp_path / "c", model_name="model-b")
         assert provider.calls == 5
         assert (rerun.provider_calls, rerun.cache_hits) == (5, 0)
@@ -285,15 +340,15 @@ class TestAugmentCorpus:
 
     def test_other_temperature_misses_the_cache(self, tmp_path):
         corpus = small_corpus(5)
-        augment_corpus(corpus, [PARAPHRASE], EchoProvider(),
+        augment_corpus(corpus, ["paraphrase"], EchoProvider(),
                        cache_dir=tmp_path / "c", temperature=1.0)
         provider = CountingProvider(EchoProvider())
-        other = augment_corpus(corpus, [PARAPHRASE], provider,
+        other = augment_corpus(corpus, ["paraphrase"], provider,
                                cache_dir=tmp_path / "c", temperature=0.2)
         assert provider.calls == 5
         assert (other.provider_calls, other.cache_hits) == (5, 0)
         provider = CountingProvider(EchoProvider())
-        same = augment_corpus(corpus, [PARAPHRASE], provider,
+        same = augment_corpus(corpus, ["paraphrase"], provider,
                               cache_dir=tmp_path / "c", temperature=0.2)
         assert provider.calls == 0
         assert (same.provider_calls, same.cache_hits) == (0, 5)
@@ -304,7 +359,7 @@ class TestAugmentCorpus:
                                   make_message("m1", text="storm hits Miami",
                                                label=1)))
         provider = CountingProvider(ShuffleProvider())
-        result = augment_corpus(corpus, [PARAPHRASE, ADD_CONTEXT], provider,
+        result = augment_corpus(corpus, ["paraphrase", "add-context"], provider,
                                 cache_dir=tmp_path / "c",
                                 max_in_flight=max_in_flight)
         assert result.failures == [
@@ -318,7 +373,7 @@ class TestAugmentCorpus:
     def test_truncated_cache_file_is_a_miss(self, tmp_path):
         corpus = small_corpus(4)
         cache_dir = tmp_path / "c"
-        first = augment_corpus(corpus, [PARAPHRASE], EchoProvider(),
+        first = augment_corpus(corpus, ["paraphrase"], EchoProvider(),
                                cache_dir=cache_dir)
         log = cache_dir / "responses.jsonl"
         lines = log.read_bytes().splitlines(keepends=True)
@@ -327,7 +382,7 @@ class TestAugmentCorpus:
         torn = ResponseCache(cache_dir)
         assert [torn.get(k) is not None for k in keys] == [True, True, True, False]
         provider = CountingProvider(EchoProvider())
-        rerun = augment_corpus(corpus, [PARAPHRASE], provider,
+        rerun = augment_corpus(corpus, ["paraphrase"], provider,
                                cache_dir=cache_dir)
         assert (rerun.provider_calls, rerun.cache_hits) == (1, 3)
         assert rerun.corpus == first.corpus
@@ -342,14 +397,14 @@ class TestCache:
             msg = make_message("m1", text, entities=["hello"])
             return cache_key(render_prompt(strategy, msg, copy_idx), model, copy_idx,
                              temperature)
-        a = key(PARAPHRASE, "hello")
-        assert a == key(PARAPHRASE, "hello")
-        assert a != key(ADD_CONTEXT, "hello")
-        assert a != key(PARAPHRASE, "other")
-        assert a != key(PARAPHRASE, "hello", model="other-model")
-        assert a != key(PARAPHRASE, "hello", copy_idx=1)
-        assert a != key(PARAPHRASE, "hello", temperature=0.2)
-        assert key(KEEP_ENTITY, "hello") != key(PARAPHRASE, "hello")
+        a = key("paraphrase", "hello")
+        assert a == key("paraphrase", "hello")
+        assert a != key("add-context", "hello")
+        assert a != key("paraphrase", "other")
+        assert a != key("paraphrase", "hello", model="other-model")
+        assert a != key("paraphrase", "hello", copy_idx=1)
+        assert a != key("paraphrase", "hello", temperature=0.2)
+        assert key("keep-entity", "hello") != key("paraphrase", "hello")
 
     @pytest.mark.parametrize("content", [
         "", "{\"source_id\": \"m1\"", "[1, 2]", "{\"unexpected\": 1}",
@@ -475,7 +530,7 @@ class TestHttpProvider:
         monkeypatch.setenv("EVENTAUG_API_TOKEN", "secret-token")
         provider = HttpProvider(ProviderConfig(endpoint=http_endpoint))
         msg = make_message("m1", "storm hits Miami")
-        out = augment_one(provider, PARAPHRASE, msg).corpus.messages[1]
+        out = augment_one(provider, "paraphrase", msg).corpus.messages[1]
         assert out.text == "reworded: storm hits Miami"
         headers, body = _Handler.seen[-1]
         assert body["max_tokens"] == 1000
@@ -486,7 +541,7 @@ class TestHttpProvider:
         provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
                                                max_retries=3))
         assert provider.complete(render_prompt(
-            PARAPHRASE, make_message("m1", "x y z"))).startswith("reworded:")
+            "paraphrase", make_message("m1", "x y z"))).startswith("reworded:")
         assert len(_Handler.seen) == 3
 
     def test_exhausted_retries_raise(self, http_endpoint):
@@ -494,7 +549,7 @@ class TestHttpProvider:
         provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
                                                max_retries=2))
         with pytest.raises(ProviderError):
-            provider.complete(render_prompt(PARAPHRASE, make_message("m1", "x")))
+            provider.complete(render_prompt("paraphrase", make_message("m1", "x")))
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404])
     def test_client_error_is_not_retried(self, http_endpoint, status):
@@ -503,7 +558,7 @@ class TestHttpProvider:
         provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
                                                max_retries=3))
         with pytest.raises(ProviderError, match=str(status)):
-            provider.complete(render_prompt(PARAPHRASE, make_message("m1", "x")))
+            provider.complete(render_prompt("paraphrase", make_message("m1", "x")))
         assert len(_Handler.seen) == 1
 
     def test_malformed_reply_is_not_retried(self, http_endpoint):
@@ -512,7 +567,7 @@ class TestHttpProvider:
         provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
                                                max_retries=3))
         with pytest.raises(ProviderError, match="malformed"):
-            provider.complete(render_prompt(PARAPHRASE, make_message("m1", "x")))
+            provider.complete(render_prompt("paraphrase", make_message("m1", "x")))
         assert len(_Handler.seen) == 1
 
     @pytest.mark.parametrize("status", [408, 429, 503])
@@ -522,7 +577,7 @@ class TestHttpProvider:
         provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
                                                max_retries=2))
         assert provider.complete(render_prompt(
-            PARAPHRASE, make_message("m1", "x y"))).startswith("reworded:")
+            "paraphrase", make_message("m1", "x y"))).startswith("reworded:")
         assert len(_Handler.seen) == 2
 
     @pytest.mark.parametrize("status, retry_after, delays", [
@@ -543,5 +598,5 @@ class TestHttpProvider:
         provider = HttpProvider(ProviderConfig(endpoint=http_endpoint,
                                                max_retries=3))
         assert provider.complete(render_prompt(
-            PARAPHRASE, make_message("m1", "x y"))).startswith("reworded:")
+            "paraphrase", make_message("m1", "x y"))).startswith("reworded:")
         assert slept == delays
