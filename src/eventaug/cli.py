@@ -63,6 +63,30 @@ def _global_flags() -> argparse.ArgumentParser:
     return parent
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _ratios(text: str) -> list[float]:
+    """A comma-separated list of at least one ratio in (0, 1]."""
+    try:
+        ratios = [float(r) for r in text.split(",") if r.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not ratios:
+        raise argparse.ArgumentTypeError("no ratio given")
+    for ratio in ratios:
+        if not 0.0 < ratio <= 1.0:
+            raise argparse.ArgumentTypeError(f"ratios must lie in (0, 1], got {ratio}")
+    return ratios
+
+
 def build_parser() -> argparse.ArgumentParser:
     parent = _global_flags()
     parser = argparse.ArgumentParser(prog="eventaug", parents=[parent],
@@ -103,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--sigma", type=float, default=None)
         if name == "ratio-study":
-            p.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7")
+            p.add_argument("--ratios", type=_ratios,
+                           default="0.1,0.2,0.3,0.4,0.5,0.6,0.7")
 
     p = sub.add_parser("eval", parents=[parent],
                        help="evaluate a saved model")
@@ -120,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--alpha-var", type=float, default=None)
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument("--bins", type=_positive_int, default=100)
     return parser
 
 
@@ -263,8 +288,7 @@ def cmd_fuse(args, config: RunConfig) -> int:
 def cmd_train(args, config: RunConfig) -> int:
     (x_train, y_train), (x_test, y_test), train_config, num_classes = \
         _training_rows(args, config)
-    model = train(x_train, y_train, train_config, stats=dataset_std(x_train),
-                  num_classes=num_classes)
+    model = train(x_train, y_train, train_config, num_classes=num_classes)
 
     model_path = os.path.join(config.out_dir, "model.sedmdl")
     save_model(model, model_path)
@@ -299,12 +323,7 @@ def cmd_eval(args, config: RunConfig) -> int:
 def cmd_ratio_study(args, config: RunConfig) -> int:
     (x_train, y_train), (x_test, y_test), train_config, num_classes = \
         _training_rows(args, config)
-    try:
-        ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --ratios: {exc}") from exc
-
-    rows = ratio_study(x_train, y_train, x_test, y_test, ratios, train_config,
+    rows = ratio_study(x_train, y_train, x_test, y_test, args.ratios, train_config,
                        num_classes=num_classes)
     csv_path = os.path.join(config.out_dir, "ratio_study.csv")
     write_ratio_csv(rows, csv_path)

@@ -104,35 +104,61 @@ def parse_corpus(path) -> Corpus:
     """Parse a JSONL corpus, collecting every problem before failing.
 
     Raises CorpusError listing malformed lines (with line numbers), lines
-    whose strings are not UTF-8 text, duplicate ids (citing both lines),
-    and dangling augmented source ids.
+    that are not a JSON object, lines that are not UTF-8 or whose strings
+    are not UTF-8 text, duplicate ids (citing both lines), and dangling
+    augmented source ids.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_lines(enumerate(fh, start=1), [])
+    except UnicodeDecodeError:
+        pass
+    # Only a file that is not UTF-8 is read again, in bytes, to name its lines.
+    problems = []
+    with open(path, "rb") as fh:
+        return _parse_lines(_utf8_lines(fh, problems), problems)
+
+
+def _utf8_lines(fh, problems):
+    """(line number, text) of each line of a binary file that decodes as
+    UTF-8; each line that does not becomes a problem."""
+    for line_no, raw in enumerate(fh, start=1):
+        try:
+            yield line_no, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            problems.append(f"line {line_no}: byte {raw[exc.start]:#04x} at byte "
+                            f"{exc.start + 1} of the line is not UTF-8")
+
+
+def _parse_lines(numbered_lines, problems) -> Corpus:
     messages = []
     lines = []
-    problems = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(f"line {line_no}: invalid JSON ({exc.msg})")
-                continue
-            try:
-                if "\\u" in line:  # only an escape can spell a lone surrogate
-                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                msg = _message_from_obj(obj, line_no)
-            except UnicodeEncodeError:
-                problems.append(f"line {line_no}: a string holds a lone surrogate "
-                                "escape, which is not UTF-8 text")
-                continue
-            except ValueError as exc:
-                problems.append(str(exc))
-                continue
-            messages.append(msg)
-            lines.append(line_no)
+    for line_no, line in numbered_lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            problems.append(f"line {line_no}: invalid JSON ({exc.msg})")
+            continue
+        if not isinstance(obj, dict):
+            problems.append(f"line {line_no}: expected a JSON object, got "
+                            f"{type(obj).__name__}")
+            continue
+        try:
+            if "\\u" in line:  # only an escape can spell a lone surrogate
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            msg = _message_from_obj(obj, line_no)
+        except UnicodeEncodeError:
+            problems.append(f"line {line_no}: a string holds a lone surrogate "
+                            "escape, which is not UTF-8 text")
+            continue
+        except ValueError as exc:
+            problems.append(str(exc))
+            continue
+        messages.append(msg)
+        lines.append(line_no)
     problems += _invariant_problems(messages, lambda i: f"line {lines[i]}")
     if problems:
         raise CorpusError(problems)

@@ -21,6 +21,7 @@ independently) and are pure given (input, parameters, rng).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,8 +97,7 @@ def dataset_std(matrix) -> DatasetStats:
 
 def gp(g, sigma: float, rng: np.random.Generator):
     """Additive noise: out = g + n with n ~ Normal(0, sigma^2) elementwise."""
-    g = np.asarray(g, dtype=np.float64)
-    return g + rng.normal(0.0, sigma, size=g.shape)
+    return perturb(g, PerturbationConfig("GP", sigma=sigma), None, rng)
 
 
 def pgp(g, sigma: float, rng: np.random.Generator):
@@ -106,9 +106,7 @@ def pgp(g, sigma: float, rng: np.random.Generator):
     The perturbation magnitude scales with each feature value, so zero
     features stay zero and large features receive proportionally more noise.
     """
-    g = np.asarray(g, dtype=np.float64)
-    eps = rng.normal(0.0, sigma, size=g.shape)
-    return g + eps * g
+    return perturb(g, PerturbationConfig("PGP", sigma=sigma), None, rng)
 
 
 def idgp(g, stats: DatasetStats, alpha_var: float, rng: np.random.Generator):
@@ -117,20 +115,12 @@ def idgp(g, stats: DatasetStats, alpha_var: float, rng: np.random.Generator):
     ``std_j`` comes from :func:`dataset_std` over the training set, adapting
     the noise magnitude to each dimension's natural variability.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape[-1] != stats.dim:
-        raise ValueError(f"vector dim {g.shape[-1]} != stats dim {stats.dim}")
-    scale = math.sqrt(alpha_var) * stats.std
-    return g + rng.normal(0.0, 1.0, size=g.shape) * scale
+    return perturb(g, PerturbationConfig("IDGP", alpha_var=alpha_var), stats, rng)
 
 
 def cgp(g, sigma: float, clip_c: float, rng: np.random.Generator):
     """Clamped noise: n ~ Normal(0, sigma^2) clipped to [-clip_c, clip_c]."""
-    g = np.asarray(g, dtype=np.float64)
-    if clip_c < 0:
-        raise ValueError(f"clip_c must be >= 0, got {clip_c}")
-    noise = np.clip(rng.normal(0.0, sigma, size=g.shape), -clip_c, clip_c)
-    return g + noise
+    return perturb(g, PerturbationConfig("CGP", sigma=sigma, clip_c=clip_c), None, rng)
 
 
 def frequency_mask(dim: int, keep_ratio: float, mode: str) -> np.ndarray:
@@ -184,61 +174,117 @@ def fdp(g, keep_ratio: float, eta: float, mode: str, sigma: float,
     real noise only. The real parts of all rows are drawn first, then the
     imaginary parts, one per kept bin in ascending order.
     """
-    g = np.asarray(g, dtype=np.float64)
-    dim = g.shape[-1]
+    config = PerturbationConfig("FDP", sigma=sigma, keep_ratio=keep_ratio,
+                                noise_level=eta, fdp_mode=mode)
+    return perturb(g, config, None, rng)
+
+
+@functools.lru_cache(maxsize=16)
+def _kept_bins(dim: int, keep_ratio: float, mode: str) -> np.ndarray:
+    """Read-only boolean keep-mask over FDP's dim // 2 + 1 half-spectrum
+    bins; cached, since drawing and applying every batch of a run ask for
+    the same mask."""
     if dim < 2:
         raise ValueError(f"vector length must be >= 2, got {dim}")
     keep = frequency_mask(dim, keep_ratio, mode)[:dim // 2 + 1]
+    keep.flags.writeable = False
+    return keep
+
+
+def _draw_noise(config: PerturbationConfig, shape,
+                rng: np.random.Generator | None) -> tuple[np.ndarray, ...]:
+    """The random values ``config.method`` adds to values of ``shape``, in
+    their fixed draw order; :func:`_add_noise` applies them.
+
+    GP, PGP and CGP draw one Normal(0, sigma^2) per value, IDGP one standard
+    normal per value. FDP draws the real parts of every kept bin of every row,
+    then the imaginary parts, each Normal(0, sigma^2), and zeroes the
+    imaginary part of the self-conjugate bins; it draws nothing when
+    noise_level or sigma is 0.
+    """
+    if config.method != "FDP":
+        scale = 1.0 if config.method == "IDGP" else config.sigma
+        return (rng.normal(0.0, scale, size=shape),)
+    if config.noise_level == 0.0 or config.sigma == 0.0:
+        return ()
+    if rng is None:
+        raise ValueError("rng required when eta and sigma are nonzero")
+    dim = shape[-1]
+    kept = np.flatnonzero(_kept_bins(dim, config.keep_ratio, config.fdp_mode))
+    size = tuple(shape[:-1]) + (kept.size,)
+    real = rng.normal(0.0, config.sigma, size=size)
+    imag = rng.normal(0.0, config.sigma, size=size)
+    imag[..., (kept == 0) | (2 * kept == dim)] = 0.0
+    return real, imag
+
+
+def _add_noise(g: np.ndarray, config: PerturbationConfig, stats: DatasetStats | None,
+               noise: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``g`` (float64) perturbed by ``config.method`` with the values
+    :func:`_draw_noise` drew for its shape."""
+    method = config.method
+    if method == "GP":
+        return g + noise[0]
+    if method == "PGP":
+        return g + noise[0] * g
+    if method == "IDGP":
+        if stats is None:
+            raise ValueError("IDGP requires dataset statistics")
+        if g.shape[-1] != stats.dim:
+            raise ValueError(f"vector dim {g.shape[-1]} != stats dim {stats.dim}")
+        return g + noise[0] * (math.sqrt(config.alpha_var) * stats.std)
+    if method == "CGP":
+        return g + np.clip(noise[0], -config.clip_c, config.clip_c)
+    dim = g.shape[-1]
+    keep = _kept_bins(dim, config.keep_ratio, config.fdp_mode)
     spectrum = np.fft.rfft(g, axis=-1)
     spectrum[..., ~keep] = 0.0
-    if eta != 0.0 and sigma != 0.0:
-        if rng is None:
-            raise ValueError("rng required when eta and sigma are nonzero")
-        kept = np.flatnonzero(keep)
-        shape = g.shape[:-1] + (kept.size,)
-        real = rng.normal(0.0, sigma, size=shape)
-        imag = rng.normal(0.0, sigma, size=shape)
-        imag[..., (kept == 0) | (2 * kept == dim)] = 0.0
-        spectrum[..., kept] += (real + 1j * imag) * eta
+    if noise:
+        real, imag = noise
+        spectrum[..., keep] += (real + 1j * imag) * config.noise_level
     return np.fft.irfft(spectrum, n=dim, axis=-1)
 
 
 def perturb(g, config: PerturbationConfig, stats: DatasetStats | None,
-            rng: np.random.Generator):
+            rng: np.random.Generator | None):
     """Apply the configured perturbation method to all rows of g."""
-    method = config.method
-    if method == "GP":
-        return gp(g, config.sigma, rng)
-    if method == "PGP":
-        return pgp(g, config.sigma, rng)
-    if method == "IDGP":
-        if stats is None:
-            raise ValueError("IDGP requires dataset statistics")
-        return idgp(g, stats, config.alpha_var, rng)
-    if method == "CGP":
-        return cgp(g, config.sigma, config.clip_c, rng)
-    if method == "FDP":
-        return fdp(g, config.keep_ratio, config.noise_level, config.fdp_mode,
-                   config.sigma, rng)
-    raise ValueError(f"unknown method {method!r}")
+    g = np.asarray(g, dtype=np.float64)
+    return _add_noise(g, config, stats, _draw_noise(config, g.shape, rng))
+
+
+def draw_mix(config: PerturbationConfig, shape,
+             rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Every random value :func:`mix_rows` uses on a batch of ``shape``, in
+    draw order: one Uniform(0, 1) per row, then :func:`_draw_noise` for the
+    rows it chose. They depend on nothing but (config, shape, rng), so they
+    can be drawn ahead of the batch."""
+    p = rng.uniform(0.0, 1.0, size=shape[0])
+    chosen = int(np.count_nonzero(p < config.alpha))
+    if not chosen:
+        return (p,)
+    return (p, *_draw_noise(config, (chosen, shape[1]), rng))
 
 
 def mix_rows(x: np.ndarray, config: PerturbationConfig,
-             stats: DatasetStats | None, rng: np.random.Generator) -> np.ndarray:
+             stats: DatasetStats | None, rng) -> np.ndarray:
     """Per row, draw p ~ Uniform(0,1); rows with p < alpha are replaced by
     their perturbed version, the rest pass through bit-identically.
 
-    Draw order is fixed: all p first, then the perturbation noise, so the
-    output is fully determined by (x, config, rng).
+    ``rng`` is a generator, or the values :func:`draw_mix` drew from one for
+    this batch's shape; both give the same output. Draw order is fixed: all p
+    first, then the perturbation noise, so the output is fully determined by
+    (x, config, rng).
     """
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError("mix_rows operates on a 2-D batch")
-    p = rng.uniform(0.0, 1.0, size=x.shape[0])
+    if isinstance(rng, np.random.Generator):
+        rng = draw_mix(config, x.shape, rng)
+    p, noise = rng[0], rng[1:]
     chosen = p < config.alpha
     if not chosen.any():
         return x.copy()
     out = x.astype(np.float64, copy=True)
-    out[chosen] = perturb(x[chosen], config, stats, rng)
+    out[chosen] = _add_noise(x[chosen].astype(np.float64, copy=False), config, stats,
+                             noise)
     return out.astype(x.dtype, copy=False)
-

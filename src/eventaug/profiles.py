@@ -149,6 +149,8 @@ def resolve_config(profile: str | None = None, file_values: dict | None = None,
     if isinstance(strategies, str):
         strategies = [s.strip() for s in strategies.split(",") if s.strip()]
     copies = int(explicit.pop("copies", 1))
+    if copies < 1:
+        raise ValueError(f"copies must be >= 1, got {copies}")
     cache_dir = explicit.pop("cache_dir", None)
     return RunConfig(
         profile=profile, seed=seed, out_dir=run_vals.get("out", "out"),

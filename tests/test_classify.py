@@ -1,8 +1,13 @@
+import hashlib
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from eventaug import classify
 from eventaug.classify import (DegenerateDataError, TrainConfig,
                                cross_entropy_grad, load_model, predict,
                                ratio_study, save_model, softmax,
@@ -10,7 +15,7 @@ from eventaug.classify import (DegenerateDataError, TrainConfig,
 from eventaug.classify import ClassifierModel
 from eventaug.core import (BadMagicError, EmbeddingFormatError,
                            NonFinitePayloadError, TruncatedPayloadError)
-from eventaug.perturb import PerturbationConfig
+from eventaug.perturb import METHODS, PerturbationConfig
 
 
 def separable_blobs(seed=0, n_per_class=40, gap=6.0):
@@ -280,3 +285,149 @@ class TestRatioStudy:
         assert lines[0] == "ratio,arm,micro_f1,macro_f1"
         assert lines[1].startswith("0.5,aug,")
         assert lines[2].startswith("0.5,noaug,")
+
+
+def mixer_fixture(dim, n=150, seed=3):
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % 3
+    x = rng.normal(scale=0.5, size=(n, dim))
+    x[:, :3] += 2.0 * np.eye(3)[y]
+    return x.astype(np.float32), y
+
+
+def mixer_config(method):
+    # the twitter2012 profile: alpha 0.6 with 64-row batches puts dim 770
+    # above HELPER_MIN_VALUES and dim 32 below it
+    return TrainConfig(epochs=4, batch_size=64, learning_rate=0.5, seed=5,
+                       perturbation=PerturbationConfig(
+                           method=method, alpha=0.6, sigma=0.1, clip_c=0.05,
+                           keep_ratio=0.95, noise_level=0.02))
+
+
+# (dim, method): sha256 of the saved model file and of the float64
+# loss_history, from the sequential trainer before mixer draws moved to a
+# helper thread (numpy 2.4.6, x86-64)
+PINNED = {
+    (770, "GP"): ("adad65407bb81a02c0c2c83eb7ecb66b144052ad6c4fe43da2f866ff3e178417",
+                 "39331841d2cce8cb20b993c75c8c8f1fc2210ca379fe4a1e80185a15ea841a8a"),
+    (770, "PGP"): ("a8995404cefda44b68aa0fb85ed66501776fa77b71f3a3fbffa83cc399f3eec0",
+                  "44fffcd5d5a7e2fe2e9c2dc4e7298daa13676f50cec92342232ba427e337ada1"),
+    (770, "IDGP"): ("9f97cba18ef8b1376b97ea5a221d60878aadb786f071eb27ac2ada3efcea7122",
+                   "31c451cf72d8ad029c71e010fe7da83f88d6f10b6a52e7adce79e33caeb04a7f"),
+    (770, "CGP"): ("8d16863b5573e852fcd70525023568a070f96d186e0981054e26ba119b6739dd",
+                  "14066a8e2e1961eb25b7e27e17ef308366560c1275c957d1b322dca48c7919bc"),
+    (770, "FDP"): ("2c84f9343ba9b48edeb484ef9af0378c7f408e38bad64b32402fb83223349551",
+                  "ca8d1e00b8672e6b4b699e4188cff0c3b06d64691a819179d721af8b42e32e7b"),
+    (32, "GP"): ("3d53ca670eb34a05caf49350550bb59c78be279204cb67d752849cc71386ce80",
+                "2babe8abbc782fd60aec37147f35b726a96931b008e74984a3a3e62d0ee2acb9"),
+    (32, "PGP"): ("79b71e729f71067cf39d04001da674082fe2cd81b7aa94d4268b3b06283ba4e0",
+                 "6c45ac464f8c98271a85553b033e31656e8f2fa9bffc3d212fc591863f159bfd"),
+    (32, "IDGP"): ("19840b2ab08dbc5eae8d0f450f19caa3783161a4cf2c7c9d258772182163b7e9",
+                  "689c36b83a43e3c37a1d37b72f309ff6f263316b076ffcbd37d3b228c37552b5"),
+    (32, "CGP"): ("91f2248de6355344add063fc3ce301872c7ec5b1cc0763f0a47abb02c0e68fd5",
+                 "b0d778b56e15ebd03d67fa874f1ae03d7158d679cef65f1ba35a97fd1e3d1930"),
+    (32, "FDP"): ("1f67565b0eb463caf82f450041df5388ea5bb8db83898859412be0136df60c73",
+                 "f7b482a20b1553b4dc480a99d9318d62ae6eadf38103264b1cd40b7ebd53f435"),
+}
+
+
+class TestDrawHelper:
+    @pytest.mark.parametrize("dim", [770, 32])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_models_match_pinned_digests(self, tmp_path, dim, method):
+        x, y = mixer_fixture(dim)
+        assert (0.6 * 64 * dim >= classify.HELPER_MIN_VALUES) == (dim == 770)
+        before = threading.active_count()
+        model = train(x, y, mixer_config(method))
+        assert threading.active_count() == before
+        save_model(model, tmp_path / "m.sedmdl")
+        model_digest, loss_digest = PINNED[(dim, method)]
+        assert hashlib.sha256((tmp_path / "m.sedmdl").read_bytes()).hexdigest() \
+            == model_digest
+        assert hashlib.sha256(np.array(model.loss_history).tobytes()).hexdigest() \
+            == loss_digest
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_helper_matches_sequential_path(self, monkeypatch, method):
+        # the helper's draws are slowed, so the caller draws batches too
+        x, y = mixer_fixture(770, n=1500)
+        threads = set()
+        real_draw_mix = classify.draw_mix
+
+        def recording(*args):
+            name = threading.current_thread().name
+            threads.add(name)
+            if name == "eventaug-mixer-draws":
+                time.sleep(0.002)
+            return real_draw_mix(*args)
+
+        monkeypatch.setattr(classify, "draw_mix", recording)
+        shared = train(x, y, mixer_config(method))
+        assert threads == {"MainThread", "eventaug-mixer-draws"}
+        monkeypatch.setattr(classify, "HELPER_MIN_VALUES", float("inf"))
+        threads.clear()
+        sequential = train(x, y, mixer_config(method))
+        assert threads == set()  # drawn inside mix_rows from the generator
+        assert shared.weights.tobytes() == sequential.weights.tobytes()
+        assert shared.bias.tobytes() == sequential.bias.tobytes()
+        assert shared.loss_history == sequential.loss_history
+
+    def test_concurrent_runs_under_fast_switching(self):
+        # three trainers, each with its own helper, switching threads every
+        # 10 us: every batch must still get its own draws
+        x, y = mixer_fixture(770)
+        expected = {m: train(x, y, mixer_config(m)).weights.tobytes()
+                    for m in ("GP", "CGP", "FDP")}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [threading.Thread(target=lambda m=m: got.__setitem__(
+                        m, train(x, y, mixer_config(m)).weights.tobytes()))
+                    for m in expected]
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=60)
+                assert not run.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_helper_error_surfaces_with_its_type(self, monkeypatch):
+        class DrawFailed(RuntimeError):
+            pass
+
+        calls = []
+        real_draw_mix = classify.draw_mix
+
+        def failing(*args):
+            if threading.current_thread().name == "eventaug-mixer-draws":
+                calls.append(1)
+                if len(calls) == 2:
+                    raise DrawFailed("second helper batch")
+            return real_draw_mix(*args)
+
+        monkeypatch.setattr(classify, "draw_mix", failing)
+        x, y = mixer_fixture(770, n=1500)
+        before = threading.active_count()
+        with pytest.raises(DrawFailed, match="second helper batch"):
+            train(x, y, mixer_config("GP"))
+        assert threading.active_count() == before
+
+    def test_caller_error_stops_the_helper(self, monkeypatch):
+        steps = []
+        real_grad = classify.cross_entropy_grad
+
+        def failing(*args):
+            steps.append(1)
+            if len(steps) == 3:
+                raise FloatingPointError("step 3")
+            return real_grad(*args)
+
+        monkeypatch.setattr(classify, "cross_entropy_grad", failing)
+        x, y = mixer_fixture(770, n=1500)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="step 3"):
+            train(x, y, mixer_config("GP"))
+        assert threading.active_count() == before

@@ -444,3 +444,41 @@ class TestDiagnose:
         assert rc == 0
         assert "n=3" in capsys.readouterr().out
         assert (out / "pca.csv").exists()
+
+
+def exit_code(argv):
+    """main's exit code, whether returned or raised by the argument parser."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFlagRanges:
+    """Out-of-range flag values exit 2 before any file is written."""
+
+    def test_zero_copies(self, tmp_path, capsys):
+        corpus_path, _ = write_train_fixture(tmp_path, n=4)
+        out = tmp_path / "run"
+        assert exit_code(["augment-text", "--corpus", corpus_path, "--mock",
+                          "--copies", "0", "--out", str(out)]) == 2
+        assert "copies must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratios", ["0", ","], ids=["zero", "empty"])
+    def test_bad_ratios(self, tmp_path, capsys, ratios):
+        corpus_path, fused_path = write_train_fixture(tmp_path)
+        out = tmp_path / "rs"
+        assert exit_code(["ratio-study", "--corpus", corpus_path, "--fused",
+                          fused_path, "--out", str(out), "--epochs", "2",
+                          "--ratios", ratios]) == 2
+        assert "--ratios" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_bins(self, tmp_path, capsys):
+        _, fused_path = write_train_fixture(tmp_path)
+        out = tmp_path / "diag"
+        assert exit_code(["diagnose", "--fused", fused_path, "--out", str(out),
+                          "--bins", "0"]) == 2
+        assert "--bins" in capsys.readouterr().err
+        assert not out.exists()

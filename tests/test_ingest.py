@@ -63,6 +63,26 @@ class TestParseCorpus:
         assert [p.split(":")[0] for p in exc.value.problems] == ["line 2", "line 3"]
         assert all("lone surrogate" in p for p in exc.value.problems)
 
+    def test_json_that_is_not_an_object_is_a_numbered_problem(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text(json.dumps(line("m1")) + "\n[1, 2]\n\"m3\"\n")
+        with pytest.raises(CorpusError) as exc:
+            parse_corpus(path)
+        assert exc.value.problems == ["line 2: expected a JSON object, got list",
+                                      "line 3: expected a JSON object, got str"]
+
+    def test_line_that_is_not_utf8_is_a_numbered_problem(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        good = json.dumps(line("m1")).encode("utf-8")
+        latin1 = json.dumps(line("m2", text="caf\u00e9"), ensure_ascii=False)
+        path.write_bytes(good + b"\n" + latin1.encode("latin-1") + b"\n{not json\n")
+        with pytest.raises(CorpusError) as exc:
+            parse_corpus(path)
+        first, second = exc.value.problems
+        assert first.startswith("line 2: byte 0xe9 at byte ")
+        assert first.endswith("is not UTF-8")
+        assert second.startswith("line 3: invalid JSON")
+
     def test_dangling_augmented_source(self, tmp_path):
         path = tmp_path / "dangling.jsonl"
         write_lines(path, [

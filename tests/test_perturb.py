@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from eventaug.perturb import (DatasetStats, PerturbationConfig, cgp,
-                              dataset_std, fdp, frequency_mask, gp, idgp,
-                              mix_rows, pgp)
+from eventaug.perturb import (METHODS, DatasetStats, PerturbationConfig, cgp,
+                              dataset_std, draw_mix, fdp, frequency_mask, gp,
+                              idgp, mix_rows, pgp)
 
 from test_acceptance import oracle_mask
 
@@ -290,6 +290,19 @@ class TestMixer:
         a = mix_rows(x, config, None, np.random.default_rng(20))
         b = mix_rows(x, config, None, np.random.default_rng(20))
         assert a.tobytes() == b.tobytes()
+
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_predrawn_values_give_the_same_rows(self, method):
+        x = np.random.default_rng(21).normal(size=(40, 12)).astype(np.float32)
+        stats = dataset_std(x)
+        config = PerturbationConfig(method=method, alpha=0.5, sigma=0.2,
+                                    clip_c=0.1, keep_ratio=0.75)
+        drawn = draw_mix(config, x.shape, np.random.default_rng(22))
+        assert drawn[0].shape == (40,) and len(drawn) == (3 if method == "FDP" else 2)
+        a = mix_rows(x, config, stats, drawn)
+        b = mix_rows(x, config, stats, np.random.default_rng(22))
+        assert a.dtype == x.dtype and a.tobytes() == b.tobytes()
 
 
 class TestPerturbationConfig:
