@@ -2,7 +2,8 @@
 import numpy as np
 
 from eventaug import (Corpus, EmbeddingMatrix, FusionParams, Message,
-                      build_graph, fuse, neighborhood)
+                      build_graph, fuse)
+from eventaug.graph import neighborhood
 
 corpus = Corpus(messages=(
     Message("a", "power outage in #Auckland", "kiwi", 1_700_000_000,

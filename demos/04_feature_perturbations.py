@@ -6,30 +6,30 @@ and FDP filters and noises the frequency spectrum of each embedding.
 """
 import numpy as np
 
-from eventaug import (PerturbationConfig, cgp, dataset_std, fdp,
-                      frequency_mask, gp, idgp, mix_rows, pgp)
+from eventaug import (PerturbationConfig, dataset_std, frequency_mask,
+                      mix_rows, perturb)
 
 rng = np.random.default_rng(11)
 data = rng.normal(size=(5000, 64)) * rng.uniform(0.2, 2.0, size=64)
-stats = dataset_std(data)
+std = dataset_std(data)
 row = data[0]
 
 print(f"dataset: {data.shape}, per-dim std range "
-      f"[{stats.std.min():.2f}, {stats.std.max():.2f}]")
+      f"[{std.min():.2f}, {std.max():.2f}]")
 
-out_gp = gp(row, 0.1, np.random.default_rng(1))
-out_pgp = pgp(row, 0.1, np.random.default_rng(2))
-out_idgp = idgp(row, stats, 0.01, np.random.default_rng(3))
-out_cgp = cgp(row, 0.1, 0.05, np.random.default_rng(4))
-out_fdp = fdp(row, 0.98, 0.02, "high", 0.1, np.random.default_rng(5))
-for name, out in (("GP", out_gp), ("PGP", out_pgp), ("IDGP", out_idgp),
-                  ("CGP", out_cgp), ("FDP", out_fdp)):
-    delta = out - row
-    print(f"  {name:4s} max|delta|={np.abs(delta).max():.4f} "
+# one PerturbationConfig per method; perturb applies it to every row given
+cgp = PerturbationConfig("CGP", sigma=0.1, clip_c=0.05)
+methods = (PerturbationConfig("GP", sigma=0.1), PerturbationConfig("PGP", sigma=0.1),
+           PerturbationConfig("IDGP", alpha_var=0.01), cgp,
+           PerturbationConfig("FDP", sigma=0.1, keep_ratio=0.98, noise_level=0.02,
+                              fdp_mode="high"))
+for seed, config in enumerate(methods, start=1):
+    delta = perturb(row, config, std, np.random.default_rng(seed)) - row
+    print(f"  {config.method:4s} max|delta|={np.abs(delta).max():.4f} "
           f"rms={np.sqrt((delta ** 2).mean()):.4f}")
 
 print("\nCGP deltas never exceed the clip bound:",
-      np.abs(cgp(np.zeros(100_000), 0.1, 0.05, np.random.default_rng(6))).max())
+      np.abs(perturb(np.zeros(100_000), cgp, None, np.random.default_rng(6))).max())
 
 mask = frequency_mask(16, 0.5, "low")
 print("FDP low-pass mask for dim 16, r=0.5:", np.flatnonzero(mask).tolist())
@@ -37,6 +37,6 @@ print("FDP low-pass mask for dim 16, r=0.5:", np.flatnonzero(mask).tolist())
 # the mixer replaces each row with its perturbed version with probability
 # alpha and leaves it untouched otherwise
 config = PerturbationConfig(method="GP", alpha=0.3, sigma=0.1)
-mixed = mix_rows(data, config, stats, np.random.default_rng(7))
+mixed = mix_rows(data, config, std, np.random.default_rng(7))
 touched = (mixed != data).any(axis=1).mean()
 print(f"\nmixer with alpha=0.3 perturbed {touched:.1%} of rows")

@@ -28,7 +28,7 @@ for label, perturbation in (
     config = TrainConfig(epochs=400, batch_size=64, learning_rate=1.0,
                          seed=0, perturbation=perturbation)
     model = train(x_train, y_train, config, num_classes=4)
-    preds, _ = predict(model, x_test)
+    preds = predict(model, x_test)
     report = evaluate(preds, y_test, 4)
     print(f"{label:22s} micro={report.micro_f1:.4f} macro={report.macro_f1:.4f}")
 

@@ -5,14 +5,15 @@ from pathlib import Path
 
 import numpy as np
 
-from eventaug import gp, histogram, moments, pca2
+from eventaug import PerturbationConfig, histogram, moments, pca2, perturb
 from eventaug.diagnostics import export_plots
 
 rng = np.random.default_rng(31)
 before = rng.normal(size=(4000, 48)) * 0.33 - 0.01
-after = gp(before, 0.2 * before.std(), np.random.default_rng(32))
+gp = PerturbationConfig(method="GP", sigma=0.2 * before.std())
+after = perturb(before, gp, None, np.random.default_rng(32))
 
-report = moments(before, after, pooled=True)
+report = moments(before, after)
 print(f"pooled mean: {report.before_mean:+.4f} -> {report.after_mean:+.4f}")
 print(f"pooled std:  {report.before_std:.4f} -> {report.after_std:.4f}")
 print("(adding independent noise preserves the mean and grows the variance "

@@ -11,9 +11,9 @@ from .core import (EmbeddingMatrix, Message, Origin, RngStream, SplitSpec,
                    read_embeddings, split, write_embeddings)
 from .ingest import (Corpus, attach_embeddings, naive_entities, parse_corpus,
                      temporal_features, with_entities, write_corpus)
-from .graph import FusionParams, HeteroGraph, build_graph, fuse, neighborhood
-from .perturb import (DatasetStats, PerturbationConfig, cgp, dataset_std, fdp,
-                      frequency_mask, gp, idgp, mix_rows, pgp)
+from .graph import FusionParams, HeteroGraph, build_graph, fuse
+from .perturb import (PerturbationConfig, dataset_std, frequency_mask, mix_rows,
+                      perturb)
 from .metrics import EvalReport, evaluate
 from .classify import (ClassifierModel, TrainConfig, load_model, predict,
                        ratio_study, save_model, train)
@@ -25,16 +25,15 @@ from .profiles import RunConfig, profile_perturbation, resolve_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassifierModel", "Corpus", "DatasetStats", "EmbeddingMatrix",
-    "EvalReport", "FusionParams", "HeteroGraph", "Message", "Origin",
+    "ClassifierModel", "Corpus", "EmbeddingMatrix", "EvalReport",
+    "FusionParams", "HeteroGraph", "Message", "Origin",
     "PerturbationConfig", "ProviderConfig", "RngStream", "RunConfig",
     "STRATEGIES", "SplitSpec", "TrainConfig", "attach_embeddings",
-    "augment_corpus", "build_graph", "check_entity_preservation", "cgp",
-    "dataset_std", "evaluate", "export_plots", "fdp", "frequency_mask",
-    "fuse", "gp", "histogram", "idgp", "load_model", "mix_rows", "moments",
-    "naive_entities", "neighborhood", "parse_corpus", "pca2", "pgp",
-    "predict", "profile_perturbation", "ratio_study", "read_embeddings",
-    "render_prompt", "resolve_config", "save_model", "split",
-    "temporal_features", "train", "with_entities", "write_corpus",
-    "write_embeddings",
+    "augment_corpus", "build_graph", "check_entity_preservation",
+    "dataset_std", "evaluate", "export_plots", "frequency_mask", "fuse",
+    "histogram", "load_model", "mix_rows", "moments", "naive_entities",
+    "parse_corpus", "pca2", "perturb", "predict", "profile_perturbation",
+    "ratio_study", "read_embeddings", "render_prompt", "resolve_config",
+    "save_model", "split", "temporal_features", "train", "with_entities",
+    "write_corpus", "write_embeddings",
 ]

@@ -18,12 +18,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import (MODEL_MAGIC, BadMagicError, EmbeddingFormatError, EmbeddingMatrix,
+from .core import (MODEL_MAGIC, BadMagicError, EmbeddingFormatError,
                    NonFinitePayloadError, RngStream, TruncatedPayloadError,
                    atomic_write)
 from .metrics import EvalReport, evaluate
-from .perturb import (DatasetStats, PerturbationConfig, dataset_std, draw_mix,
-                      mix_rows)
+from .perturb import PerturbationConfig, dataset_std, draw_mix, mix_rows
 
 _U32 = struct.Struct("<I")
 
@@ -102,20 +101,18 @@ def cross_entropy_grad(weights, bias, x, y):
 
 
 def train(fused_train, labels, config: TrainConfig,
-          stats: DatasetStats | None = None,
           num_classes: int | None = None) -> ClassifierModel:
     """Minimize softmax cross-entropy by mini-batch gradient descent.
 
     When ``config.perturbation`` is set, each batch passes through the
-    probabilistic mixer before the forward pass. Dataset statistics for
-    IDGP are computed once from the full training matrix if not supplied.
+    probabilistic mixer before the forward pass. IDGP's per-dimension std
+    is computed once from the full training matrix.
     Shuffle order and mixer noise derive from ``config.seed``, so equal
     seeds give bitwise-equal parameters. When a batch's expected noise
     reaches ``HELPER_MIN_VALUES``, a helper thread shares the drawing of
     the mixer's values (``_DrawAhead``); the parameters are the same.
     """
-    x = fused_train.values if isinstance(fused_train, EmbeddingMatrix) else np.asarray(fused_train)
-    x = x.astype(np.float64)
+    x = np.asarray(fused_train, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("labels must align with training rows")
@@ -129,8 +126,7 @@ def train(fused_train, labels, config: TrainConfig,
         raise ValueError("labels outside [0, num_classes)")
 
     pconf = config.perturbation
-    if pconf is not None and pconf.method == "IDGP" and stats is None:
-        stats = dataset_std(x)
+    std = dataset_std(x) if pconf is not None and pconf.method == "IDGP" else None
 
     n, dim = x.shape
     weights = np.zeros((num_classes, dim))
@@ -150,7 +146,7 @@ def train(fused_train, labels, config: TrainConfig,
                 xb, yb = x[idx], y[idx]
                 if mixing:
                     draws = drawn.take(epoch, bi) if ahead else base.derive(1, epoch, bi)
-                    xb = mix_rows(xb, pconf, stats, draws)
+                    xb = mix_rows(xb, pconf, std, draws)
                 loss, dw, db = cross_entropy_grad(weights, bias, xb, yb)
                 weights -= config.learning_rate * dw
                 bias -= config.learning_rate * db
@@ -261,19 +257,16 @@ class _DrawAhead:
                 self._ready[s] = drawn
 
 
-def predict(model: ClassifierModel, emb):
-    """Argmax class per row plus the softmax score matrix.
+def predict(model: ClassifierModel, emb) -> list[int]:
+    """Argmax class per row.
 
     Ties break toward the lower class index (argmax returns the first
     maximum). Zero weights therefore predict class 0 everywhere.
     """
-    x = emb.values if isinstance(emb, EmbeddingMatrix) else np.asarray(emb)
-    x = x.astype(np.float64)
+    x = np.asarray(emb, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ValueError(f"expected rows of dim {model.dim}, got shape {x.shape}")
-    logits = x @ model.weights.T + model.bias
-    scores = softmax(logits)
-    return logits.argmax(axis=1).tolist(), scores
+    return (x @ model.weights.T + model.bias).argmax(axis=1).tolist()
 
 
 def save_model(model: ClassifierModel, path) -> None:
@@ -368,7 +361,7 @@ def ratio_study(train_x, train_y, test_x, test_y, ratios,
         for arm in ("aug", "noaug"):
             arm_config = config if arm == "aug" else replace(config, perturbation=None)
             model = train(x_sub, y_sub, arm_config, num_classes=num_classes)
-            preds, _ = predict(model, test_x)
+            preds = predict(model, test_x)
             report = evaluate(preds, test_y, num_classes)
             macro = report.macro_f1_over(present) if missing else report.macro_f1
             rows.append(RatioRow(ratio=ratio, arm=arm,

@@ -292,7 +292,7 @@ def cmd_train(args, config: RunConfig) -> int:
 
     model_path = os.path.join(config.out_dir, "model.sedmdl")
     save_model(model, model_path)
-    preds, _ = predict(model, x_test)
+    preds = predict(model, x_test)
     report = evaluate(preds, y_test, num_classes)
     report_path = _write_out(config, "report.json", eval_report_json(report))
     print(f"train_rows={len(y_train)} test_rows={len(y_test)} "
@@ -312,7 +312,7 @@ def cmd_eval(args, config: RunConfig) -> int:
     if not part:
         raise DegenerateDataError(f"split part {args.split_part!r} is empty")
     x, y = _gather(corpus, emb, part)
-    preds, _ = predict(model, x)
+    preds = predict(model, x)
     report = evaluate(preds, y, max(corpus.num_classes, model.num_classes))
     _write_out(config, "report.json", eval_report_json(report))
     print(f"split={args.split_part} rows={len(part)}")
@@ -336,11 +336,11 @@ def cmd_diagnose(args, config: RunConfig) -> int:
     if before.rows == 0:
         raise DegenerateDataError(f"{args.fused} holds no rows to diagnose")
     spec = config.perturbation
-    stats = dataset_std(before) if spec.method == "IDGP" else None
+    std = dataset_std(before.values) if spec.method == "IDGP" else None
     rng = np.random.default_rng(config.seed)
     # the float64 perturb result lives only until it is cast to float32
     after = EmbeddingMatrix([f"{i}*" for i in before.ids],
-                            perturb(before.values, spec, stats, rng))
+                            perturb(before.values, spec, std, rng))
 
     _, report = export_plots(before, after, config.out_dir, bins=args.bins)
     print(f"method={spec.method} n={report.count}")

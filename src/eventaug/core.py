@@ -13,7 +13,7 @@ import math
 import os
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class Message:
     @property
     def is_original(self) -> bool:
         return self.origin is None
-
-    def derive(self, new_id: str, new_text: str, origin: Origin) -> "Message":
-        """New message with fresh id/text/origin; all other metadata copied."""
-        return replace(self, id=new_id, text=new_text, origin=origin)
 
 
 class EmbeddingMatrix:

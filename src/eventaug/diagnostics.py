@@ -36,33 +36,27 @@ def _ids(matrix, n: int) -> list[str]:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Population mean/std before and after perturbation; scalars in pooled
-    mode, per-dimension vectors otherwise."""
+    """Population mean/std of all values before and after perturbation."""
 
-    before_mean: np.ndarray | float
-    before_std: np.ndarray | float
-    after_mean: np.ndarray | float
-    after_std: np.ndarray | float
+    before_mean: float
+    before_std: float
+    after_mean: float
+    after_std: float
     count: int
-    pooled: bool
 
 
-def moments(before, after, pooled: bool = True) -> MomentReport:
-    """Population mean and std of each side, reduced in float64. One side at
-    a time is converted, so at most one float64 copy is alive."""
+def moments(before, after) -> MomentReport:
+    """Pooled population mean and std of each side, reduced in float64. One
+    side at a time is converted, so at most one float64 copy is alive."""
     b, a = _array(before), _array(after)
     if b.shape != a.shape:
         raise ValueError(f"shape mismatch: {b.shape} vs {a.shape}")
-    axis = None if pooled else 0
     reduced = []
     for side in (b, a):
         x = np.asarray(side, dtype=np.float64)
-        reduced += [x.mean(axis=axis), x.std(axis=axis)]
+        reduced += [float(x.mean()), float(x.std())]
         del x  # freed before the next side is converted
-    if pooled:
-        reduced = [float(r) for r in reduced]
-    return MomentReport(*reduced, count=b.size if pooled else b.shape[0],
-                        pooled=pooled)
+    return MomentReport(*reduced, count=b.size)
 
 
 @dataclass(frozen=True)
@@ -211,7 +205,7 @@ def render_scatter_svg(coords_before: np.ndarray, coords_after: np.ndarray,
 
 def export_plots(before, after, out_dir, bins: int = 100):
     """Write the four diagnostic CSVs and two SVG renderings for a
-    before/after pair; returns (the created file paths, the pooled
+    before/after pair; returns (the created file paths, the
     MomentReport that moments.csv holds). Memory stays within about six
     times one side's float32 bytes beyond the inputs: pca2's float32 stack
     and its float64 copy."""
@@ -235,7 +229,7 @@ def export_plots(before, after, out_dir, bins: int = 100):
     del stacked  # freed before moments makes its float64 copies
     coords_b, coords_a = coords[:n], coords[n:]
 
-    report = moments(b, a, pooled=True)
+    report = moments(b, a)
 
     paths = []
 

@@ -76,37 +76,47 @@ class Corpus:
         return [m for m in self.messages if m.is_original]
 
 
+_FIELD_TYPES = {"id": "a nonempty string", "text": "a string", "user_id": "a string",
+                "timestamp": "an integer", "entities": "a list of strings",
+                "location": "a string or null", "label": "an integer >= 0 or null",
+                "origin": "an object of string strategy and source_id, or null"}
+
+
 def _message_from_obj(obj: dict, line_no: int) -> Message:
-    try:
-        origin = None
-        if obj.get("origin") is not None:
-            origin = Origin(strategy=str(obj["origin"]["strategy"]),
-                            source_id=str(obj["origin"]["source_id"]))
-        label = obj.get("label")
-        if label is not None:
-            if not isinstance(label, int) or isinstance(label, bool):
-                raise ValueError(f"label must be an integer, got {label!r}")
-        return Message(
-            id=str(obj["id"]),
-            text=str(obj["text"]),
-            user_id=str(obj["user_id"]),
-            timestamp=int(obj["timestamp"]),
-            entities=tuple(str(e) for e in obj.get("entities", [])),
-            location=obj.get("location"),
-            label=label,
-            origin=origin,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"line {line_no}: {exc}") from exc
+    """The message of one line's object; CorpusError with one problem per
+    field that is missing or not of its JSON type (nothing is coerced)."""
+    entities, location = obj.get("entities", []), obj.get("location")
+    label, origin = obj.get("label"), obj.get("origin")
+    # json.loads makes exact types, and type(True) is bool, not int
+    wrong = {
+        "id": type(obj.get("id")) is not str or not obj["id"],
+        "text": type(obj.get("text")) is not str,
+        "user_id": type(obj.get("user_id")) is not str,
+        "timestamp": type(obj.get("timestamp")) is not int,
+        "entities": type(entities) is not list or any(type(e) is not str for e in entities),
+        "location": location is not None and type(location) is not str,
+        "label": label is not None and (type(label) is not int or label < 0),
+        "origin": origin is not None and (type(origin) is not dict
+                                          or type(origin.get("strategy")) is not str
+                                          or type(origin.get("source_id")) is not str)}
+    if True in wrong.values():
+        raise CorpusError(f"line {line_no}: {key} must be {_FIELD_TYPES[key]}, got "
+                          + (json.dumps(obj[key]) if key in obj else "nothing")
+                          for key, bad in wrong.items() if bad)
+    return Message(id=obj["id"], text=obj["text"], user_id=obj["user_id"],
+                   timestamp=obj["timestamp"], entities=tuple(entities),
+                   location=location, label=label,
+                   origin=None if origin is None
+                   else Origin(origin["strategy"], origin["source_id"]))
 
 
 def parse_corpus(path) -> Corpus:
     """Parse a JSONL corpus, collecting every problem before failing.
 
     Raises CorpusError listing malformed lines (with line numbers), lines
-    that are not a JSON object, lines that are not UTF-8 or whose strings
-    are not UTF-8 text, duplicate ids (citing both lines), and dangling
-    augmented source ids.
+    that are not a JSON object, fields missing or not of their JSON type,
+    lines that are not UTF-8 or whose strings are not UTF-8 text, duplicate
+    ids (citing both lines), and dangling augmented source ids.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -154,8 +164,8 @@ def _parse_lines(numbered_lines, problems) -> Corpus:
             problems.append(f"line {line_no}: a string holds a lone surrogate "
                             "escape, which is not UTF-8 text")
             continue
-        except ValueError as exc:
-            problems.append(str(exc))
+        except CorpusError as exc:
+            problems += exc.problems
             continue
         messages.append(msg)
         lines.append(line_no)

@@ -2,21 +2,24 @@
 training, plus the probabilistic mixer that decides per sample whether the
 perturbed or original row is used.
 
-Five methods:
+Five methods, the values of ``PerturbationConfig.method``:
 
-* ``gp``   -- additive Gaussian noise with fixed standard deviation.
-* ``pgp``  -- noise scaled elementwise by the feature values themselves.
-* ``idgp`` -- noise scaled by the per-dimension standard deviation of the
-  training set, so low-variance dimensions receive little noise.
-* ``cgp``  -- Gaussian noise clamped to [-clip_c, clip_c]. Clamping censors
+* ``GP``   -- additive noise, g + n with n ~ Normal(0, sigma^2).
+* ``PGP``  -- noise scaled elementwise by the feature values themselves,
+  g + eps * g with eps ~ Normal(0, sigma^2); zero features stay zero.
+* ``IDGP`` -- noise scaled by the per-dimension standard deviation of the
+  training set (:func:`dataset_std`), n_j ~ Normal(0, alpha_var * std_j^2),
+  so low-variance dimensions receive little noise.
+* ``CGP``  -- Gaussian noise clamped to [-clip_c, clip_c]. Clamping censors
   the distribution (probability mass collects at the bounds rather than
   being redistributed inside them).
-* ``fdp``  -- filter the real half-spectrum (``np.fft.rfft``) of each
+* ``FDP``  -- filter the real half-spectrum (``np.fft.rfft``) of each
   embedding, add complex noise to the kept bins and transform back with
   ``np.fft.irfft``; equal draws reproduce the output to 1e-12 relative.
 
-All functions accept a single row vector or a 2-D batch (rows perturbed
-independently) and are pure given (input, parameters, rng).
+:func:`perturb` applies one to a single row vector or a 2-D batch (rows
+perturbed independently), and :func:`mix_rows` to the rows of a batch the
+mixer chooses; both are pure given (input, config, std, rng).
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import EmbeddingMatrix
 
 METHODS = ("GP", "PGP", "IDGP", "CGP", "FDP")
 FDP_MODES = ("high", "low", "band")
@@ -71,56 +72,15 @@ class PerturbationConfig:
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    """Per-dimension population standard deviation of the training embeddings."""
-
-    std: np.ndarray
-    count: int
-
-    @property
-    def dim(self) -> int:
-        return self.std.shape[0]
-
-
-def dataset_std(matrix) -> DatasetStats:
-    """Population standard deviation per dimension (divide by n).
+def dataset_std(matrix) -> np.ndarray:
+    """Population standard deviation per dimension (divide by n), in float64.
 
     Computed once over the training-split fused embeddings, never per batch.
     """
-    values = matrix.values if isinstance(matrix, EmbeddingMatrix) else np.asarray(matrix)
+    values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1:
         raise ValueError("need a non-empty 2-D matrix")
-    return DatasetStats(std=values.astype(np.float64).std(axis=0, ddof=0),
-                        count=values.shape[0])
-
-
-def gp(g, sigma: float, rng: np.random.Generator):
-    """Additive noise: out = g + n with n ~ Normal(0, sigma^2) elementwise."""
-    return perturb(g, PerturbationConfig("GP", sigma=sigma), None, rng)
-
-
-def pgp(g, sigma: float, rng: np.random.Generator):
-    """Proportional noise: out_j = g_j + eps_j * g_j, eps ~ Normal(0, sigma^2).
-
-    The perturbation magnitude scales with each feature value, so zero
-    features stay zero and large features receive proportionally more noise.
-    """
-    return perturb(g, PerturbationConfig("PGP", sigma=sigma), None, rng)
-
-
-def idgp(g, stats: DatasetStats, alpha_var: float, rng: np.random.Generator):
-    """In-distribution noise: n_j ~ Normal(0, alpha_var * std_j^2).
-
-    ``std_j`` comes from :func:`dataset_std` over the training set, adapting
-    the noise magnitude to each dimension's natural variability.
-    """
-    return perturb(g, PerturbationConfig("IDGP", alpha_var=alpha_var), stats, rng)
-
-
-def cgp(g, sigma: float, clip_c: float, rng: np.random.Generator):
-    """Clamped noise: n ~ Normal(0, sigma^2) clipped to [-clip_c, clip_c]."""
-    return perturb(g, PerturbationConfig("CGP", sigma=sigma, clip_c=clip_c), None, rng)
+    return values.std(axis=0, ddof=0)
 
 
 def frequency_mask(dim: int, keep_ratio: float, mode: str) -> np.ndarray:
@@ -163,22 +123,6 @@ def frequency_mask(dim: int, keep_ratio: float, mode: str) -> np.ndarray:
     return keep[np.minimum(k, dim - k)]
 
 
-def fdp(g, keep_ratio: float, eta: float, mode: str, sigma: float,
-        rng: np.random.Generator | None = None):
-    """Frequency-domain perturbation of each embedding (last axis).
-
-    Takes the half-spectrum ``np.fft.rfft(g)``, zeroes the bins that
-    :func:`frequency_mask` drops, adds (Normal(0, sigma^2) + i Normal(0,
-    sigma^2)) * eta to each kept bin, and returns ``np.fft.irfft`` at the
-    original length. The self-conjugate bins (0, and dim/2 for even dim) take
-    real noise only. The real parts of all rows are drawn first, then the
-    imaginary parts, one per kept bin in ascending order.
-    """
-    config = PerturbationConfig("FDP", sigma=sigma, keep_ratio=keep_ratio,
-                                noise_level=eta, fdp_mode=mode)
-    return perturb(g, config, None, rng)
-
-
 @functools.lru_cache(maxsize=16)
 def _kept_bins(dim: int, keep_ratio: float, mode: str) -> np.ndarray:
     """Read-only boolean keep-mask over FDP's dim // 2 + 1 half-spectrum
@@ -218,7 +162,7 @@ def _draw_noise(config: PerturbationConfig, shape,
     return real, imag
 
 
-def _add_noise(g: np.ndarray, config: PerturbationConfig, stats: DatasetStats | None,
+def _add_noise(g: np.ndarray, config: PerturbationConfig, std: np.ndarray | None,
                noise: tuple[np.ndarray, ...]) -> np.ndarray:
     """``g`` (float64) perturbed by ``config.method`` with the values
     :func:`_draw_noise` drew for its shape."""
@@ -228,11 +172,11 @@ def _add_noise(g: np.ndarray, config: PerturbationConfig, stats: DatasetStats | 
     if method == "PGP":
         return g + noise[0] * g
     if method == "IDGP":
-        if stats is None:
-            raise ValueError("IDGP requires dataset statistics")
-        if g.shape[-1] != stats.dim:
-            raise ValueError(f"vector dim {g.shape[-1]} != stats dim {stats.dim}")
-        return g + noise[0] * (math.sqrt(config.alpha_var) * stats.std)
+        if std is None:
+            raise ValueError("IDGP requires the dataset std")
+        if g.shape[-1] != std.shape[0]:
+            raise ValueError(f"vector dim {g.shape[-1]} != std dim {std.shape[0]}")
+        return g + noise[0] * (math.sqrt(config.alpha_var) * std)
     if method == "CGP":
         return g + np.clip(noise[0], -config.clip_c, config.clip_c)
     dim = g.shape[-1]
@@ -245,11 +189,12 @@ def _add_noise(g: np.ndarray, config: PerturbationConfig, stats: DatasetStats | 
     return np.fft.irfft(spectrum, n=dim, axis=-1)
 
 
-def perturb(g, config: PerturbationConfig, stats: DatasetStats | None,
+def perturb(g, config: PerturbationConfig, std: np.ndarray | None,
             rng: np.random.Generator | None):
-    """Apply the configured perturbation method to all rows of g."""
+    """Apply the configured perturbation method to all rows of g. ``std``
+    is :func:`dataset_std` of the training set, read by IDGP only."""
     g = np.asarray(g, dtype=np.float64)
-    return _add_noise(g, config, stats, _draw_noise(config, g.shape, rng))
+    return _add_noise(g, config, std, _draw_noise(config, g.shape, rng))
 
 
 def draw_mix(config: PerturbationConfig, shape,
@@ -266,7 +211,7 @@ def draw_mix(config: PerturbationConfig, shape,
 
 
 def mix_rows(x: np.ndarray, config: PerturbationConfig,
-             stats: DatasetStats | None, rng) -> np.ndarray:
+             std: np.ndarray | None, rng) -> np.ndarray:
     """Per row, draw p ~ Uniform(0,1); rows with p < alpha are replaced by
     their perturbed version, the rest pass through bit-identically.
 
@@ -285,6 +230,5 @@ def mix_rows(x: np.ndarray, config: PerturbationConfig,
     if not chosen.any():
         return x.copy()
     out = x.astype(np.float64, copy=True)
-    out[chosen] = _add_noise(x[chosen].astype(np.float64, copy=False), config, stats,
-                             noise)
+    out[chosen] = _add_noise(x[chosen].astype(np.float64, copy=False), config, std, noise)
     return out.astype(x.dtype, copy=False)

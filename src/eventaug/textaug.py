@@ -33,7 +33,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Message, Origin
 from .ingest import Corpus
@@ -117,12 +117,15 @@ DEFAULT_STRATEGIES = ("paraphrase", "add-context", "style-transfer",
 
 
 def check_strategies(names) -> tuple[str, ...]:
-    """``names`` as a tuple; ValueError on one that is not in ``STRATEGIES``."""
+    """``names`` as a tuple; ValueError on one that is not in ``STRATEGIES``
+    or that is repeated (its variants would share ids)."""
     names = tuple(names)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in STRATEGIES:
             raise ValueError(f"unknown strategy {name!r}; expected one of "
                              f"{sorted(STRATEGIES)}")
+        if name in names[:i]:
+            raise ValueError(f"strategy {name!r} is given twice")
     return names
 
 
@@ -396,8 +399,8 @@ def _run_task(task, provider, cache, model_name, temperature):
         return None, (message.id, strategy, reason, "rejected"), called, not called
     if called and cache is not None:
         cache.put(record)
-    out = message.derive(new_id, record.text,
-                         Origin(strategy=strategy, source_id=message.id))
+    out = replace(message, id=new_id, text=record.text,
+                  origin=Origin(strategy=strategy, source_id=message.id))
     return out, None, called, not called
 
 
@@ -416,8 +419,8 @@ def augment_corpus(corpus: Corpus, strategies, provider,
     ``source_ids`` (a set) is given only the originals with those ids are
     augmented, so a caller can keep the validation and test splits free of
     derived text. Results merge in source-message order regardless of
-    request concurrency. An unknown strategy name raises ``ValueError``
-    before any request.
+    request concurrency. An unknown or repeated strategy name raises
+    ``ValueError`` before any request.
     """
     strategies = check_strategies(strategies)
     cache = ResponseCache(cache_dir) if cache_dir is not None else None

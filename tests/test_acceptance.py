@@ -12,8 +12,7 @@ from eventaug.cli import main
 from eventaug.diagnostics import moments
 from eventaug.ingest import Corpus
 from eventaug.metrics import evaluate
-from eventaug.perturb import (DatasetStats, PerturbationConfig, cgp, fdp, gp,
-                              idgp, mix_rows, pgp)
+from eventaug.perturb import PerturbationConfig, mix_rows, perturb
 from eventaug.textaug import (DEFAULT_STRATEGIES, DropEntityProvider,
                               EchoProvider, augment_corpus)
 
@@ -32,17 +31,20 @@ def test_criterion_01_perturbation_identities():
     started = time.perf_counter()
     rng = np.random.default_rng(1001)
     g = rng.normal(size=(50, 64))
-    stats = DatasetStats(std=np.abs(rng.normal(size=64)), count=50)
+    std = np.abs(rng.normal(size=64))
 
     exact = (
-        np.array_equal(gp(g, 0.0, rng), g)
-        and np.array_equal(pgp(g, 0.0, rng), g)
-        and np.array_equal(idgp(g, stats, 0.0, rng), g)
-        and np.array_equal(cgp(g, 1.0, 0.0, rng), g)
+        np.array_equal(perturb(g, PerturbationConfig("GP", sigma=0.0), None, rng), g)
+        and np.array_equal(perturb(g, PerturbationConfig("PGP", sigma=0.0), None, rng), g)
+        and np.array_equal(perturb(g, PerturbationConfig("IDGP", alpha_var=0.0), std, rng), g)
+        and np.array_equal(perturb(g, PerturbationConfig("CGP", sigma=1.0, clip_c=0.0),
+                                   None, rng), g)
     )
     fdp_ok = True
     for mode in ("high", "low", "band"):
-        out = fdp(g, 1.0, 0.0, mode, 0.1)
+        config = PerturbationConfig("FDP", sigma=0.1, keep_ratio=1.0, noise_level=0.0,
+                                    fdp_mode=mode)
+        out = perturb(g, config, None, None)
         fdp_ok &= np.abs(out - g).max() <= 1e-6 * np.abs(g).max()
     elapsed = time.perf_counter() - started
     report_line(1, exact and fdp_ok and elapsed < 5.0,
@@ -55,7 +57,8 @@ def test_criterion_01_perturbation_identities():
 def test_criterion_02_cgp_bound():
     rng = np.random.default_rng(1002)
     clip_c = 0.005
-    deltas = cgp(np.zeros(1_000_000), 0.01, clip_c, rng)
+    deltas = perturb(np.zeros(1_000_000), PerturbationConfig("CGP", sigma=0.01, clip_c=clip_c),
+                     None, rng)
     violations = int((np.abs(deltas) > clip_c).sum())
     report_line(2, violations == 0,
                 f"max |delta| = {np.abs(deltas).max():.6f} <= {clip_c}, "
@@ -72,7 +75,7 @@ def test_criterion_03_noise_moments():
 
     rng = np.random.default_rng(1003)
     sigma = 0.05
-    delta = gp(np.zeros(n), sigma, rng)
+    delta = perturb(np.zeros(n), PerturbationConfig("GP", sigma=sigma), None, rng)
     rel = abs(delta.std() - sigma) / sigma
     ok &= rel < 0.02
     details.append(f"GP {rel * 100:.2f}%")
@@ -80,7 +83,7 @@ def test_criterion_03_noise_moments():
     rng = np.random.default_rng(1004)
     base = np.array([0.5, -2.0, 3.0])
     g = np.tile(base, (n, 1))
-    delta = pgp(g, 0.1, rng) - g
+    delta = perturb(g, PerturbationConfig("PGP", sigma=0.1), None, rng) - g
     for j in range(3):
         target = 0.1 * abs(base[j])
         rel = abs(delta[:, j].std() - target) / target
@@ -88,11 +91,11 @@ def test_criterion_03_noise_moments():
         details.append(f"PGP[{j}] {rel * 100:.2f}%")
 
     rng = np.random.default_rng(1005)
-    stats = DatasetStats(std=np.array([0.2, 1.0, 2.5]), count=n)
+    std = np.array([0.2, 1.0, 2.5])
     alpha_var = 0.04
-    delta = idgp(np.zeros((n, 3)), stats, alpha_var, rng)
+    delta = perturb(np.zeros((n, 3)), PerturbationConfig("IDGP", alpha_var=alpha_var), std, rng)
     for j in range(3):
-        target = np.sqrt(alpha_var) * stats.std[j]
+        target = np.sqrt(alpha_var) * std[j]
         rel = abs(delta[:, j].std() - target) / target
         ok &= rel < 0.02
         details.append(f"IDGP[{j}] {rel * 100:.2f}%")
@@ -156,7 +159,9 @@ def test_criterion_04_fdp_oracle_equivalence():
         scale = np.abs(g).max()
         for mode in ("high", "low", "band"):
             for ratio in (0.25, 0.5, 0.98):
-                ours = fdp(g, ratio, 0.0, mode, 0.1)
+                config = PerturbationConfig("FDP", sigma=0.1, keep_ratio=ratio,
+                                            noise_level=0.0, fdp_mode=mode)
+                ours = perturb(g, config, None, None)
                 expected = oracle_fdp_no_noise(g, ratio, mode)
                 worst = max(worst, np.abs(ours - expected).max() / scale)
     elapsed = time.perf_counter() - started
@@ -265,8 +270,8 @@ def test_criterion_08_variance_additivity():
     x = rng.normal(size=(10_000, 32)) * 0.7 - 0.05
     s = float(x.std())
     sigma = 0.2 * s
-    noised = gp(x, sigma, np.random.default_rng(1010))
-    rep = moments(x, noised, pooled=True)
+    noised = perturb(x, PerturbationConfig("GP", sigma=sigma), None, np.random.default_rng(1010))
+    rep = moments(x, noised)
     predicted = float(np.sqrt(s ** 2 + sigma ** 2))
     std_rel = abs(rep.after_std - predicted) / predicted
     mean_shift = abs(rep.after_mean - rep.before_mean)
@@ -314,7 +319,7 @@ def test_criterion_09_imbalance_benefit():
             config = TrainConfig(epochs=1000, batch_size=64, learning_rate=1.0,
                                  seed=seed, perturbation=perturbation)
             model = train(x_train, y_train, config, num_classes=6)
-            preds, _ = predict(model, x_test)
+            preds = predict(model, x_test)
             macro[arm] = evaluate(preds, y_test, 6).macro_f1
         per_seed.append((seed, macro["aug"], macro["noaug"]))
         print(f"\n  seed {seed}: macro_f1 aug={macro['aug']:.4f} "

@@ -49,6 +49,19 @@ def write_graph_fixture(tmp_path, graph_corpus):
     return str(corpus_path), str(emb_path)
 
 
+def record_prompts(monkeypatch) -> list:
+    """Make ``--mock echo`` a provider that records each prompt it gets."""
+    calls = []
+
+    class Recording:
+        def complete(self, prompt):
+            calls.append(prompt)
+            return prompt
+
+    monkeypatch.setitem(cli._MOCKS, "echo", Recording)
+    return calls
+
+
 class TestAugmentText:
     def test_mock_echo_counts(self, tmp_path, capsys):
         corpus_path, _ = write_train_fixture(tmp_path, n=10)
@@ -143,18 +156,27 @@ class TestAugmentText:
                      "--train-only", "--out", str(tmp_path / "run")]) == 4
 
     def test_unknown_strategy_is_config_error(self, tmp_path, monkeypatch):
-        calls = []
-
-        class Recording:
-            def complete(self, prompt):
-                calls.append(prompt)
-                return prompt
-
-        monkeypatch.setitem(cli._MOCKS, "echo", Recording)
+        calls = record_prompts(monkeypatch)
         corpus_path, _ = write_train_fixture(tmp_path, n=4)
         rc = main(["augment-text", "--corpus", corpus_path, "--mock",
                    "--strategy", "paraphrase", "--strategy", "backtranslate",
                    "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert calls == []
+        assert not (tmp_path / "run" / "augmented.jsonl").exists()
+
+    @pytest.mark.parametrize("form", ["flags", "config"])
+    def test_repeated_strategy_is_config_error(self, tmp_path, monkeypatch, form):
+        calls = record_prompts(monkeypatch)
+        corpus_path, _ = write_train_fixture(tmp_path, n=4)
+        if form == "flags":
+            extra = ["--strategy", "paraphrase", "--strategy", "paraphrase"]
+        else:
+            ini = tmp_path / "run.ini"
+            ini.write_text("[explicit]\nstrategies = paraphrase, paraphrase\n")
+            extra = ["--config", str(ini)]
+        rc = main(["augment-text", "--corpus", corpus_path, "--mock",
+                   "--out", str(tmp_path / "run")] + extra)
         assert rc == 2
         assert calls == []
         assert not (tmp_path / "run" / "augmented.jsonl").exists()

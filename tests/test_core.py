@@ -210,13 +210,3 @@ class TestMessage:
     def test_rejects_negative_label(self):
         with pytest.raises(ValueError):
             make_message("m1", label=-1)
-
-    def test_derive_copies_metadata(self):
-        src = make_message("m1", text="orig", entities=["X"], location="loc",
-                           label=2)
-        out = src.derive("m1a", "new text", origin=None)
-        assert out.user_id == src.user_id
-        assert out.timestamp == src.timestamp
-        assert out.entities == src.entities
-        assert out.location == src.location
-        assert out.label == src.label

@@ -8,7 +8,7 @@ import pytest
 from eventaug.core import EmbeddingMatrix
 from eventaug.diagnostics import (Histogram, export_plots, histogram, moments, pca2,
                                   render_histogram_svg, render_scatter_svg)
-from eventaug.perturb import PerturbationConfig, dataset_std, gp, perturb
+from eventaug.perturb import PerturbationConfig, dataset_std, perturb
 
 
 def reference_histogram(values, bins, lo, hi):
@@ -65,13 +65,13 @@ def reference_files(before, after, bins=100):
 class TestMoments:
     def test_identical_inputs(self):
         x = np.random.default_rng(41).normal(size=(50, 4))
-        report = moments(x, x, pooled=True)
+        report = moments(x, x)
         assert report.before_mean == report.after_mean
         assert report.before_std == report.after_std
 
     def test_constant_shift_moves_mean_only(self):
         x = np.random.default_rng(42).normal(size=(200, 3))
-        report = moments(x, x + 0.5, pooled=True)
+        report = moments(x, x + 0.5)
         assert report.after_mean - report.before_mean == pytest.approx(0.5, abs=1e-12)
         assert report.after_std == pytest.approx(report.before_std, abs=1e-12)
 
@@ -81,17 +81,12 @@ class TestMoments:
         rng = np.random.default_rng(43)
         x = rng.normal(size=(4000, 64))
         x = (x - x.mean()) / x.std() * 0.3284 - 0.0111
-        noised = gp(x, 0.02, np.random.default_rng(44))
-        report = moments(x, noised, pooled=True)
+        noised = perturb(x, PerturbationConfig("GP", sigma=0.02), None,
+                         np.random.default_rng(44))
+        report = moments(x, noised)
         predicted = np.sqrt(0.3284 ** 2 + 0.02 ** 2)  # = 0.32901...
         assert abs(report.after_std - predicted) / predicted < 0.01
         assert report.after_mean == pytest.approx(-0.0111, abs=5e-4)
-
-    def test_per_dim_mode(self):
-        x = np.random.default_rng(45).normal(size=(30, 5))
-        report = moments(x, x + 1.0, pooled=False)
-        assert report.before_mean.shape == (5,)
-        assert np.allclose(report.after_mean - report.before_mean, 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -217,7 +212,8 @@ class TestExportPlots:
     def test_file_contract(self, tmp_path):
         rng = np.random.default_rng(52)
         before = rng.normal(size=(40, 6))
-        after = gp(before, 0.1, np.random.default_rng(53))
+        after = perturb(before, PerturbationConfig("GP", sigma=0.1), None,
+                        np.random.default_rng(53))
         paths, _ = export_plots(before, after, tmp_path)
         names = sorted(os.path.basename(p) for p in paths)
         assert names == ["explained_variance.csv", "histogram.csv",
@@ -237,7 +233,8 @@ class TestExportPlots:
     def test_pca_csv_contains_both_groups(self, tmp_path):
         m = EmbeddingMatrix([f"m{i}" for i in range(25)],
                             np.random.default_rng(55).normal(size=(25, 5)).astype(np.float32))
-        after = EmbeddingMatrix(m.ids, gp(m.values, 0.05, np.random.default_rng(56)))
+        after = EmbeddingMatrix(m.ids, perturb(m.values, PerturbationConfig("GP", sigma=0.05),
+                                               None, np.random.default_rng(56)))
         export_plots(m, after, tmp_path)
         lines = (tmp_path / "pca.csv").read_text().splitlines()
         assert lines[0] == "id,group,pc1,pc2"
@@ -253,7 +250,7 @@ class TestExportPlots:
                                  rng.normal(0.01, 0.2, size=(n, dim)))
         config = PerturbationConfig(method=method, sigma=0.05, alpha_var=0.1)
         after = EmbeddingMatrix([f"m{i}*" for i in range(n)],
-                                perturb(before.values, config, dataset_std(before),
+                                perturb(before.values, config, dataset_std(before.values),
                                         np.random.default_rng(60)))
         paths, report = export_plots(before, after, tmp_path)
         files, stats = reference_files(before, after)
@@ -268,7 +265,8 @@ class TestExportPlots:
         before = EmbeddingMatrix([f"m{i}" for i in range(3_000)],
                                  rng.normal(size=(3_000, 200)))
         after = EmbeddingMatrix([f"m{i}*" for i in range(3_000)],
-                                gp(before.values, 0.05, np.random.default_rng(62)))
+                                perturb(before.values, PerturbationConfig("GP", sigma=0.05),
+                                        None, np.random.default_rng(62)))
         tracemalloc.start()
         try:
             export_plots(before, after, tmp_path)

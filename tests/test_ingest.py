@@ -112,6 +112,45 @@ class TestParseCorpus:
         assert first.startswith("line 2: invalid JSON")
         assert second.startswith("line 3:") and "'gone'" in second
 
+    @pytest.mark.parametrize("field,value,expected", [
+        ("text", None, "line 2: text must be a string, got null"),
+        ("user_id", None, "line 2: user_id must be a string, got null"),
+        ("entities", "Miami", 'line 2: entities must be a list of strings, got "Miami"'),
+        ("entities", [None], "line 2: entities must be a list of strings, got [null]"),
+        ("timestamp", True, "line 2: timestamp must be an integer, got true"),
+        ("timestamp", 1700000000.9, "line 2: timestamp must be an integer, got 1700000000.9"),
+        ("timestamp", "1700000000",
+         'line 2: timestamp must be an integer, got "1700000000"'),
+        ("id", 5, "line 2: id must be a nonempty string, got 5"),
+        ("location", 5, "line 2: location must be a string or null, got 5"),
+        ("origin", {"strategy": "paraphrase", "source_id": 1},
+         "line 2: origin must be an object of string strategy and source_id, or null, "
+         'got {"strategy": "paraphrase", "source_id": 1}'),
+    ], ids=["text-null", "user-null", "entities-str", "entities-null", "ts-bool",
+            "ts-float", "ts-str", "id-int", "location-int", "origin-int"])
+    def test_field_of_the_wrong_type_is_a_numbered_problem(self, tmp_path, field, value,
+                                                           expected):
+        path = tmp_path / "typed.jsonl"
+        write_lines(path, [line("m1"), line("m2", **{field: value}), line("m3")])
+        with pytest.raises(CorpusError) as exc:
+            parse_corpus(path)
+        assert exc.value.problems == [expected]
+
+    def test_every_wrong_field_and_missing_key_is_listed(self, tmp_path):
+        path = tmp_path / "typed.jsonl"
+        missing_text = line("m2")
+        del missing_text["text"]
+        write_lines(path, [line("m1", label=True, location=None), missing_text,
+                           line("m3", timestamp=None, entities=None)])
+        with pytest.raises(CorpusError) as exc:
+            parse_corpus(path)
+        assert exc.value.problems == [
+            "line 1: label must be an integer >= 0 or null, got true",
+            "line 2: text must be a string, got nothing",
+            "line 3: timestamp must be an integer, got null",
+            "line 3: entities must be a list of strings, got null",
+        ]
+
     def test_built_corpus_checks_the_same_rules(self):
         with pytest.raises(CorpusError, match=r"position 2: duplicate id 'm1'"):
             Corpus(messages=(make_message("m1"), make_message("m1")))

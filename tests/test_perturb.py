@@ -1,9 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from eventaug.perturb import (METHODS, DatasetStats, PerturbationConfig, cgp,
-                              dataset_std, draw_mix, fdp, frequency_mask, gp,
-                              idgp, mix_rows, pgp)
+from eventaug.perturb import (METHODS, PerturbationConfig, dataset_std, draw_mix,
+                              frequency_mask, mix_rows, perturb)
 
 from test_acceptance import oracle_mask
 
@@ -19,7 +20,7 @@ def naive_dft(g):
 
 
 def full_spectrum_fdp(g, keep_ratio, eta, mode, sigma, rng):
-    """FDP on the two-sided spectrum: fft, mask, the same draws as fdp
+    """FDP on the two-sided spectrum: fft, mask, the same draws as perturb
     mirrored bin by bin onto the conjugate bins, then ifft(...).real."""
     dim = g.shape[-1]
     mask = oracle_mask(dim, keep_ratio, mode)
@@ -47,20 +48,22 @@ def naive_idft(spectrum):
     return out
 
 
+def fdp_config(keep_ratio, eta, mode, sigma):
+    return PerturbationConfig("FDP", sigma=sigma, keep_ratio=keep_ratio,
+                              noise_level=eta, fdp_mode=mode)
+
+
 class TestDatasetStd:
     def test_identical_rows_zero(self):
-        stats = dataset_std(np.ones((5, 3)))
-        assert np.array_equal(stats.std, np.zeros(3))
+        assert np.array_equal(dataset_std(np.ones((5, 3))), np.zeros(3))
 
     def test_single_row_zero(self):
-        stats = dataset_std(np.array([[1.0, -2.0]]))
-        assert np.array_equal(stats.std, np.zeros(2))
-        assert stats.count == 1
+        std = dataset_std(np.array([[1.0, -2.0]]))
+        assert std.dtype == np.float64 and np.array_equal(std, np.zeros(2))
 
     def test_population_formula(self):
         # two rows 0 and 2: population std = sqrt(((0-1)^2+(2-1)^2)/2) = 1
-        stats = dataset_std(np.array([[0.0], [2.0]]))
-        assert stats.std[0] == 1.0
+        assert dataset_std(np.array([[0.0], [2.0]]))[0] == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -70,13 +73,13 @@ class TestDatasetStd:
 class TestGaussian:
     def test_sigma_zero_identity(self):
         g = np.linspace(-1, 1, 16)
-        out = gp(g, 0.0, np.random.default_rng(0))
+        out = perturb(g, PerturbationConfig("GP", sigma=0.0), None, np.random.default_rng(0))
         assert np.array_equal(out, g)
 
     def test_moments_match_sigma(self):
         rng = np.random.default_rng(101)
         g = np.full((100_000, 4), 0.37)
-        delta = gp(g, 0.1, rng) - g
+        delta = perturb(g, PerturbationConfig("GP", sigma=0.1), None, rng) - g
         assert abs(delta.mean()) < 0.002
         assert 0.098 < delta.std() < 0.102
 
@@ -86,7 +89,8 @@ class TestGaussian:
         n, sigma = 100_000, 0.3
         rng = np.random.default_rng(102)
         x = rng.normal(size=(n, 4)) * np.array([0.5, 1.0, 2.0, 0.1])
-        noised = gp(x, sigma, np.random.default_rng(103))
+        noised = perturb(x, PerturbationConfig("GP", sigma=sigma), None,
+                         np.random.default_rng(103))
         mean_shift = np.abs(noised.mean(axis=0) - x.mean(axis=0))
         assert (mean_shift < 4 * sigma / np.sqrt(n)).all()
         expected_var = x.var(axis=0) + sigma ** 2
@@ -96,63 +100,65 @@ class TestGaussian:
 class TestProportionalGaussian:
     def test_zero_vector_fixed_point(self):
         g = np.zeros(32)
-        out = pgp(g, 5.0, np.random.default_rng(1))
+        out = perturb(g, PerturbationConfig("PGP", sigma=5.0), None, np.random.default_rng(1))
         assert np.array_equal(out, g)
 
     def test_noise_scales_with_value(self):
         rng = np.random.default_rng(7)
         g = np.full((100_000, 1), 2.0)
-        delta = pgp(g, 0.1, rng) - g
+        delta = perturb(g, PerturbationConfig("PGP", sigma=0.1), None, rng) - g
         assert 0.196 < delta.std() < 0.204
 
     def test_sigma_zero_identity(self):
         g = np.arange(8.0)
-        assert np.array_equal(pgp(g, 0.0, np.random.default_rng(2)), g)
+        out = perturb(g, PerturbationConfig("PGP", sigma=0.0), None, np.random.default_rng(2))
+        assert np.array_equal(out, g)
 
 
 class TestInDistributionGaussian:
     def test_zero_variance_dim_unchanged(self):
-        stats = DatasetStats(std=np.array([0.0, 1.0]), count=10)
         rng = np.random.default_rng(3)
         g = np.tile([5.0, 5.0], (1000, 1))
-        out = idgp(g, stats, 0.5, rng)
+        out = perturb(g, PerturbationConfig("IDGP", alpha_var=0.5), np.array([0.0, 1.0]), rng)
         assert np.array_equal(out[:, 0], g[:, 0])
         assert not np.array_equal(out[:, 1], g[:, 1])
 
     def test_alpha_var_zero_identity(self):
-        stats = DatasetStats(std=np.array([1.0, 2.0]), count=10)
         g = np.ones((4, 2))
-        out = idgp(g, stats, 0.0, np.random.default_rng(4))
+        out = perturb(g, PerturbationConfig("IDGP", alpha_var=0.0), np.array([1.0, 2.0]),
+                      np.random.default_rng(4))
         assert np.array_equal(out, g)
 
     def test_noise_std_tracks_dataset_std(self):
         # sqrt(0.04) * 0.5 = 0.1
-        stats = DatasetStats(std=np.array([0.5]), count=10)
         rng = np.random.default_rng(5)
         g = np.zeros((100_000, 1))
-        delta = idgp(g, stats, 0.04, rng) - g
+        delta = perturb(g, PerturbationConfig("IDGP", alpha_var=0.04), np.array([0.5]), rng) - g
         assert abs(delta.std() - 0.1) / 0.1 < 0.02
 
     def test_dim_mismatch_rejected(self):
-        stats = DatasetStats(std=np.ones(3), count=5)
         with pytest.raises(ValueError):
-            idgp(np.zeros(4), stats, 0.1, np.random.default_rng(0))
+            perturb(np.zeros(4), PerturbationConfig("IDGP", alpha_var=0.1), np.ones(3),
+                    np.random.default_rng(0))
 
 
 class TestClippedGaussian:
     def test_clip_zero_identity(self):
         g = np.linspace(0, 1, 12)
-        assert np.array_equal(cgp(g, 1.0, 0.0, np.random.default_rng(6)), g)
+        out = perturb(g, PerturbationConfig("CGP", sigma=1.0, clip_c=0.0), None,
+                      np.random.default_rng(6))
+        assert np.array_equal(out, g)
 
     def test_deltas_bounded(self):
         rng = np.random.default_rng(8)
         g = np.zeros(1_000_000)
-        delta = cgp(g, 0.01, 0.005, rng) - g
+        delta = perturb(g, PerturbationConfig("CGP", sigma=0.01, clip_c=0.005), None, rng) - g
         assert np.abs(delta).max() <= 0.005
 
     def test_clipping_actually_bites(self):
         rng = np.random.default_rng(9)
-        delta = cgp(np.zeros(10_000), 1.0, 0.1, rng)
+        delta = perturb(np.zeros(10_000), PerturbationConfig("CGP", sigma=1.0, clip_c=0.1),
+                        None, rng)
         assert (np.abs(delta) == 0.1).any()
 
 
@@ -210,13 +216,13 @@ class TestFrequencyDomain:
         rng = np.random.default_rng(11)
         g = rng.normal(size=64)
         for mode in ("low", "high", "band"):
-            out = fdp(g, 1.0, 0.0, mode, 0.1)
+            out = perturb(g, fdp_config(1.0, 0.0, mode, 0.1), None, None)
             assert np.abs(out - g).max() <= 1e-6 * np.abs(g).max()
 
     def test_matches_naive_oracle_low_pass(self):
         rng = np.random.default_rng(12)
         g = rng.normal(size=16)
-        out = fdp(g, 0.5, 0.0, "low", 0.1)
+        out = perturb(g, fdp_config(0.5, 0.0, "low", 0.1), None, None)
         mask = frequency_mask(16, 0.5, "low")
         expected = naive_idft(np.where(mask, naive_dft(g), 0.0)).real
         assert np.abs(out - expected).max() < 1e-6
@@ -224,7 +230,7 @@ class TestFrequencyDomain:
     def test_noise_lands_only_on_kept_bins(self):
         rng = np.random.default_rng(14)
         g = np.random.default_rng(1).normal(size=32)
-        spectrum = np.fft.rfft(fdp(g, 0.25, 0.5, "high", 1.0, rng))
+        spectrum = np.fft.rfft(perturb(g, fdp_config(0.25, 0.5, "high", 1.0), None, rng))
         keep = frequency_mask(32, 0.25, "high")[:17]
         assert np.abs(spectrum[~keep]).max() < 1e-12 * np.linalg.norm(g)
         assert np.abs(spectrum[keep]).min() > 0.0
@@ -234,7 +240,7 @@ class TestFrequencyDomain:
     def test_noisy_matches_full_spectrum_reference(self, shape, mode):
         g = np.random.default_rng(15).normal(size=shape)
         for ratio in (0.1, 0.5, 0.98, 1.0):
-            ours = fdp(g, ratio, 0.3, mode, 0.5, np.random.default_rng(16))
+            ours = perturb(g, fdp_config(ratio, 0.3, mode, 0.5), None, np.random.default_rng(16))
             expected = full_spectrum_fdp(g, ratio, 0.3, mode, 0.5,
                                          np.random.default_rng(16))
             assert ours.shape == g.shape
@@ -243,18 +249,18 @@ class TestFrequencyDomain:
 
     def test_deterministic_given_rng(self):
         g = np.random.default_rng(2).normal(size=48)
-        a = fdp(g, 0.5, 0.2, "band", 0.3, np.random.default_rng(99))
-        b = fdp(g, 0.5, 0.2, "band", 0.3, np.random.default_rng(99))
+        a = perturb(g, fdp_config(0.5, 0.2, "band", 0.3), None, np.random.default_rng(99))
+        b = perturb(g, fdp_config(0.5, 0.2, "band", 0.3), None, np.random.default_rng(99))
         assert np.abs(a - b).max() < 1e-12
 
     def test_preserves_length_on_batches(self):
         g = np.random.default_rng(3).normal(size=(5, 20))
-        out = fdp(g, 0.5, 0.1, "low", 0.2, np.random.default_rng(4))
+        out = perturb(g, fdp_config(0.5, 0.1, "low", 0.2), None, np.random.default_rng(4))
         assert out.shape == g.shape
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            fdp(np.ones(1), 0.5, 0.0, "low", 0.1)
+            perturb(np.ones(1), fdp_config(0.5, 0.0, "low", 0.1), None, None)
 
 
 class TestMixer:
@@ -295,13 +301,13 @@ class TestMixer:
     @pytest.mark.parametrize("method", METHODS)
     def test_predrawn_values_give_the_same_rows(self, method):
         x = np.random.default_rng(21).normal(size=(40, 12)).astype(np.float32)
-        stats = dataset_std(x)
+        std = dataset_std(x)
         config = PerturbationConfig(method=method, alpha=0.5, sigma=0.2,
                                     clip_c=0.1, keep_ratio=0.75)
         drawn = draw_mix(config, x.shape, np.random.default_rng(22))
         assert drawn[0].shape == (40,) and len(drawn) == (3 if method == "FDP" else 2)
-        a = mix_rows(x, config, stats, drawn)
-        b = mix_rows(x, config, stats, np.random.default_rng(22))
+        a = mix_rows(x, config, std, drawn)
+        b = mix_rows(x, config, std, np.random.default_rng(22))
         assert a.dtype == x.dtype and a.tobytes() == b.tobytes()
 
 
@@ -332,10 +338,35 @@ class TestZeroNoiseIdentities:
     def test_all_methods(self):
         g = np.random.default_rng(6).normal(size=(7, 24))
         rng = np.random.default_rng(7)
-        stats = DatasetStats(std=np.ones(24), count=7)
-        assert np.array_equal(gp(g, 0.0, rng), g)
-        assert np.array_equal(pgp(g, 0.0, rng), g)
-        assert np.array_equal(idgp(g, stats, 0.0, rng), g)
-        assert np.array_equal(cgp(g, 1.0, 0.0, rng), g)
-        out = fdp(g, 1.0, 0.0, "high", 0.1)
+        for config, std in ((PerturbationConfig("GP", sigma=0.0), None),
+                            (PerturbationConfig("PGP", sigma=0.0), None),
+                            (PerturbationConfig("IDGP", alpha_var=0.0), np.ones(24)),
+                            (PerturbationConfig("CGP", sigma=1.0, clip_c=0.0), None)):
+            assert np.array_equal(perturb(g, config, std, rng), g)
+        out = perturb(g, fdp_config(1.0, 0.0, "high", 0.1), None, None)
         assert np.abs(out - g).max() <= 1e-6 * np.abs(g).max()
+
+
+# sha256 of perturb's float64 output bytes for (6, 20) rows drawn from
+# default_rng(2024); the IDGP std is the rows' own population std.
+PINNED = {
+    "GP": (PerturbationConfig("GP", sigma=0.1), 1,
+           "bb77e474d08ebe65f0b46d40269517dfac1c9d37a97535376c4d80edf8aa49c6"),
+    "PGP": (PerturbationConfig("PGP", sigma=0.1), 2,
+            "d0bc3119c7e3aedf0d9e719f0254280445c759ec4f5e0a907ad9b73c7c6c826c"),
+    "IDGP": (PerturbationConfig("IDGP", alpha_var=0.04), 3,
+             "7cd629f18c9f6482e6a6190d8d302814b519933a179c7017c0bc9e6ec0d023cc"),
+    "CGP": (PerturbationConfig("CGP", sigma=0.1, clip_c=0.05), 4,
+            "08af6abebb39a1ad1ba5257ba038536467f70fd8321142cb533d1a7bd98fe736"),
+    "FDP": (fdp_config(0.7, 0.3, "band", 0.5), 5,
+            "10cc8c54891fa6106e4223849c21553068eeee78561a46f8d860f4b1eb8ebde1"),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_perturb_output_bytes_are_pinned(method):
+    config, seed, expected = PINNED[method]
+    g = np.random.default_rng(2024).normal(size=(6, 20))
+    out = perturb(g, config, g.std(axis=0), np.random.default_rng(seed))
+    assert out.dtype == np.float64 and out.shape == g.shape
+    assert hashlib.sha256(out.tobytes()).hexdigest() == expected
