@@ -5,7 +5,6 @@ here the deterministic mocks show the orchestration, the response cache,
 and the keep-entity rejection path without any network access.
 """
 import tempfile
-from pathlib import Path
 
 from eventaug import Corpus, Message, check_entity_preservation, render_prompt
 from eventaug.textaug import (DEFAULT_STRATEGIES, DropEntityProvider,
@@ -23,20 +22,20 @@ print("prompt for keep-entity on the first message:")
 print(render_prompt("keep-entity", corpus.messages[0]))
 print()
 
-cache_dir = Path(tempfile.mkdtemp(prefix="eventaug-cache-"))
-result = augment_corpus(corpus, DEFAULT_STRATEGIES, EchoProvider(),
-                        cache_dir=cache_dir)
-print(f"generated={result.generated} skipped={result.skipped} "
-      f"provider_calls={result.provider_calls}")
-variant = next(m for m in result.corpus.messages if m.origin is not None)
-print(f"variant {variant.id} keeps source metadata: "
-      f"user={variant.user_id} label={variant.label} "
-      f"origin=({variant.origin.strategy}, {variant.origin.source_id})")
+with tempfile.TemporaryDirectory(prefix="eventaug-cache-") as cache_dir:
+    result = augment_corpus(corpus, DEFAULT_STRATEGIES, EchoProvider(),
+                            cache_dir=cache_dir)
+    print(f"generated={result.generated} skipped={result.skipped} "
+          f"provider_calls={result.provider_calls}")
+    variant = next(m for m in result.corpus.messages if m.origin is not None)
+    print(f"variant {variant.id} keeps source metadata: "
+          f"user={variant.user_id} label={variant.label} "
+          f"origin=({variant.origin.strategy}, {variant.origin.source_id})")
 
-# identical rerun: every response comes from the cache
-rerun = augment_corpus(corpus, DEFAULT_STRATEGIES, EchoProvider(),
-                       cache_dir=cache_dir)
-print(f"rerun cache_hits={rerun.cache_hits} provider_calls={rerun.provider_calls}")
+    # identical rerun: every response comes from the cache
+    rerun = augment_corpus(corpus, DEFAULT_STRATEGIES, EchoProvider(),
+                           cache_dir=cache_dir)
+    print(f"rerun cache_hits={rerun.cache_hits} provider_calls={rerun.provider_calls}")
 
 # the word-rotating mock produces genuinely different text
 rotated = augment_corpus(corpus, ["paraphrase"], ShuffleProvider())

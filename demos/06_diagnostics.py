@@ -26,9 +26,10 @@ print("\nhistogram counts over [-1, 1]:", h.counts.tolist(),
 coords, explained = pca2(np.vstack([before[:500], after[:500]]))
 print(f"\ntop-2 explained variances: {explained[0]:.4f}, {explained[1]:.4f}")
 
-out_dir = Path(tempfile.mkdtemp(prefix="eventaug-diag-"))
-paths, report = export_plots(before[:800], after[:800], out_dir)
-print(f"\nwrote {len(paths)} files to {out_dir}:")
-for p in paths:
-    print("  ", Path(p).name)
-print(f"pooled std: before {report.before_std:.4f}, after {report.after_std:.4f}")
+with tempfile.TemporaryDirectory(prefix="eventaug-diag-") as tmp:
+    out_dir = Path(tmp)
+    paths, report = export_plots(before[:800], after[:800], out_dir)
+    print(f"\nwrote {len(paths)} files to {out_dir}:")
+    for p in paths:
+        print("  ", Path(p).name)
+    print(f"pooled std: before {report.before_std:.4f}, after {report.after_std:.4f}")

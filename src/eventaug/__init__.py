@@ -16,7 +16,7 @@ from .perturb import (PerturbationConfig, dataset_std, frequency_mask, mix_rows,
                       perturb)
 from .metrics import EvalReport, evaluate
 from .classify import (ClassifierModel, TrainConfig, load_model, predict,
-                       ratio_study, save_model, train)
+                       ratio_study, save_model, train, train_many)
 from .diagnostics import histogram, moments, pca2, export_plots
 from .textaug import (STRATEGIES, ProviderConfig, augment_corpus,
                       check_entity_preservation, render_prompt)
@@ -34,6 +34,7 @@ __all__ = [
     "histogram", "load_model", "mix_rows", "moments", "naive_entities",
     "parse_corpus", "pca2", "perturb", "predict", "profile_perturbation",
     "ratio_study", "read_embeddings", "render_prompt", "resolve_config",
-    "save_model", "split", "temporal_features", "train", "with_entities",
+    "save_model", "split", "temporal_features", "train", "train_many",
+    "with_entities",
     "write_corpus", "write_embeddings",
 ]

@@ -9,18 +9,18 @@ there is no adaptive optimizer state.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import threading
 import warnings
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .core import (MODEL_MAGIC, BadMagicError, EmbeddingFormatError,
                    NonFinitePayloadError, RngStream, TruncatedPayloadError,
-                   atomic_write)
+                   atomic_write, derived_states)
 from .metrics import EvalReport, evaluate
 from .perturb import PerturbationConfig, dataset_std, draw_mix, mix_rows
 
@@ -37,6 +37,14 @@ _U32 = struct.Struct("<I")
 # 0.70 at dim 770. Repeats of these figures vary by about 0.1.
 HELPER_MIN_VALUES = 8192
 _AHEAD_VALUES = 1 << 17  # about how many values may be drawn ahead of the batch in use
+# ``train_many`` stacks the batches of at most this many values into one
+# gradient product. Gradient time per run, copy into the stack included,
+# stacked over single (2 cores, numpy 2.4.6, one BLAS thread, 64-row
+# batches, 5 classes): dim 32 0.92 for
+# 2 runs, 0.41 for 4, 0.27 for 20; dim 128 0.72 for 4, 0.48 for 20; dim
+# 384 0.94 for 4, 1.19 for 14; dim 770 1.22 for 2, 1.56 for 14, where the
+# stack outgrows the cache between the forward and backward products.
+_STACK_VALUES = 1 << 16
 
 
 class DegenerateDataError(ValueError):
@@ -77,7 +85,13 @@ class ClassifierModel:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # The row maximum one column at a time: the same values as
+    # ``max(axis=-1)``, whose reduction over a short last axis took 88 us on
+    # a (20, 64, 6) stack against 12 us for this loop.
+    top = logits[..., 0]
+    for col in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., col])
+    shifted = logits - top[..., None]
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
@@ -86,18 +100,23 @@ def cross_entropy_grad(weights, bias, x, y):
     """Mean softmax cross-entropy loss and its analytic gradient.
 
     Returns (loss, d_weights, d_bias). Exposed separately so the gradient
-    can be checked against finite differences.
+    can be checked against finite differences. Given a stack of R runs,
+    ``weights`` (R, C, D), ``bias`` (R, C), ``x`` (R, B, D) and ``y``
+    (R, B), it returns R of each, every one bitwise equal to that run's own
+    call.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n = x.shape[0]
-    probs = softmax(x @ weights.T + bias)
+    n = x.shape[-2]
+    probs = softmax(x @ weights.swapaxes(-1, -2) + bias[..., None, :])
+    flat = probs.reshape(-1, probs.shape[-1])
+    picked = np.arange(flat.shape[0]), y.ravel()
     eps = 1e-12
-    loss = -np.log(np.clip(probs[np.arange(n), y], eps, None)).mean()
+    loss = -np.log(np.clip(flat[picked], eps, None)).reshape(y.shape).mean(axis=-1)
     delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    delta.reshape(flat.shape)[picked] -= 1.0
     delta /= n
-    return loss, delta.T @ x, delta.sum(axis=0)
+    return loss, delta.swapaxes(-1, -2) @ x, delta.sum(axis=-2)
 
 
 def train(fused_train, labels, config: TrainConfig,
@@ -108,86 +127,228 @@ def train(fused_train, labels, config: TrainConfig,
     probabilistic mixer before the forward pass. IDGP's per-dimension std
     is computed once from the full training matrix.
     Shuffle order and mixer noise derive from ``config.seed``, so equal
-    seeds give bitwise-equal parameters. When a batch's expected noise
-    reaches ``HELPER_MIN_VALUES``, a helper thread shares the drawing of
-    the mixer's values (``_DrawAhead``); the parameters are the same.
+    seeds give bitwise-equal parameters. This is the one-run case of
+    :func:`train_many`.
     """
-    x = np.asarray(fused_train, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("labels must align with training rows")
-    present = np.unique(y)
-    if present.size < 2:
-        raise DegenerateDataError(
-            f"training set has {present.size} distinct class(es); need >= 2")
+    return train_many([(fused_train, labels, config)], num_classes)[0]
+
+
+class _Run:
+    """One run of :func:`train_many`: its rows of a matrix, labels, config,
+    and the per-epoch loss it accumulates."""
+
+    def __init__(self, x, labels, config: TrainConfig, rows=None):
+        self.x = np.asarray(x, dtype=np.float64)
+        self.y = np.asarray(labels, dtype=np.int64)
+        if self.x.ndim != 2 or self.x.shape[0] != self.y.shape[0]:
+            raise ValueError("labels must align with training rows")
+        self.rows = None if rows is None else np.asarray(rows, dtype=np.intp)
+        y = self.y if self.rows is None else self.y[self.rows]
+        present = np.unique(y)
+        if present.size < 2:
+            raise DegenerateDataError(
+                f"training set has {present.size} distinct class(es); need >= 2")
+        self.low, self.high = int(y.min()), int(y.max())
+        self.n = y.shape[0]
+        self.config = config
+        self.pconf = pconf = config.perturbation
+        self.mixing = pconf is not None and pconf.alpha > 0.0
+        self.std = None
+        if pconf is not None and pconf.method == "IDGP":
+            self.std = dataset_std(self.x if self.rows is None else self.x[self.rows])
+        self.base = RngStream(config.seed)
+        self.losses = []
+        self.same_batches = False  # as the run before it: same rows, labels, seed
+
+    def order(self, epoch: int) -> np.ndarray:
+        """This epoch's shuffled rows of ``x``."""
+        perm = self.base.derive(0, epoch).permutation(self.n)
+        return perm if self.rows is None else self.rows[perm]
+
+
+def train_many(runs, num_classes: int | None = None) -> list[ClassifierModel]:
+    """Train several runs in one loop; each model is bitwise the one
+    :func:`train` gives that run alone.
+
+    A run is ``(x, labels, config)`` or ``(x, labels, config, rows)``: it
+    trains on ``x[rows]`` and ``labels[rows]`` (all rows when ``rows`` is
+    left out), so runs can share one float64 matrix without copies. All
+    runs have the same dim, epochs and batch size, and ``num_classes``
+    defaults to one more than the largest label of any run.
+
+    The runs step through (epoch, batch) together. At each step the runs
+    next to each other in ``runs`` with equal batch rows take one stacked
+    gradient product, and runs whose mixer would draw the same values (the
+    same seed, perturbation and batch rows) share one draw. When a batch's
+    expected noise reaches ``HELPER_MIN_VALUES``, a helper thread shares
+    the drawing (``_DrawAhead``); the parameters are the same.
+    """
+    runs = [_Run(*run) for run in runs]
+    if not runs:
+        raise ValueError("no runs to train")
+    dim = runs[0].x.shape[1]
+    epochs, batch_size = runs[0].config.epochs, runs[0].config.batch_size
+    if any((r.x.shape[1], r.config.epochs, r.config.batch_size) != (dim, epochs, batch_size)
+           for r in runs):
+        raise ValueError("runs must share dim, epochs and batch size")
     if num_classes is None:
-        num_classes = int(y.max()) + 1
-    if y.min() < 0 or y.max() >= num_classes:
+        num_classes = max(r.high for r in runs) + 1
+    if any(r.low < 0 or r.high >= num_classes for r in runs):
         raise ValueError("labels outside [0, num_classes)")
+    for prev, run in zip(runs, runs[1:]):
+        run.same_batches = run.x is prev.x and run.y is prev.y and run.rows is prev.rows \
+            and run.config.seed == prev.config.seed
 
-    pconf = config.perturbation
-    std = dataset_std(x) if pconf is not None and pconf.method == "IDGP" else None
+    weights = np.zeros((len(runs), num_classes, dim))
+    bias = np.zeros((len(runs), num_classes))
+    rates = np.array([[r.config.learning_rate] for r in runs])
 
-    n, dim = x.shape
-    weights = np.zeros((num_classes, dim))
-    bias = np.zeros(num_classes)
-    base = RngStream(config.seed)
-    losses = []
-    n_batches = (n + config.batch_size - 1) // config.batch_size
-    mixing = pconf is not None and pconf.alpha > 0.0
-    ahead = mixing and \
-        pconf.alpha * min(config.batch_size, n) * dim >= HELPER_MIN_VALUES
-    with _DrawAhead(base, pconf, config, x.shape) if ahead else nullcontext() as drawn:
-        for epoch in range(config.epochs):
-            order = base.derive(0, epoch).permutation(n)
-            epoch_loss = 0.0
-            for bi in range(n_batches):
-                idx = order[bi * config.batch_size:(bi + 1) * config.batch_size]
-                xb, yb = x[idx], y[idx]
-                if mixing:
-                    draws = drawn.take(epoch, bi) if ahead else base.derive(1, epoch, bi)
-                    xb = mix_rows(xb, pconf, std, draws)
-                loss, dw, db = cross_entropy_grad(weights, bias, xb, yb)
-                weights -= config.learning_rate * dw
-                bias -= config.learning_rate * db
-                epoch_loss += loss * len(idx)
-            losses.append(epoch_loss / n)
+    def group(lo, hi, offsets):
+        """A step's work for runs lo..hi-1: per run its index, whether it
+        takes the batch of the run before it, rows, labels, mixer config
+        (None without the mixer), std and draw; then the weights and bias
+        the step updates, and their rates."""
+        members = [(k, runs[k].same_batches, runs[k].x, runs[k].y,
+                    runs[k].pconf if runs[k].mixing else None, runs[k].std, offset)
+                   for k, offset in zip(range(lo, hi), offsets)]
+        if hi - lo == 1:
+            rate = runs[lo].config.learning_rate
+            return members, weights[lo], bias[lo], rate, rate
+        return members, weights[lo:hi], bias[lo:hi], rates[lo:hi, :, None], rates[lo:hi]
 
-    metadata = {
-        "seed": config.seed,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
+    plan, slots = _plan(runs, batch_size, dim)
+    plan = [(first, last, [(lo, hi, *group(lo, hi, offsets)) for lo, hi, offsets in groups])
+            for first, last, groups in plan]
+    ahead = any(pconf.alpha * rows * dim >= HELPER_MIN_VALUES
+                for _, pconf, _, rows in slots)
+    with (_DrawAhead if ahead else _Draws)(slots, epochs, dim) as draws:
+        for epoch in range(epochs):
+            orders = []
+            for run in runs:
+                orders.append(orders[-1] if run.same_batches else run.order(epoch))
+            epoch_loss = np.zeros(len(runs))
+            for bi, (first, last, groups) in enumerate(plan):
+                drawn = [draws.take(epoch * len(slots) + s) for s in range(first, last)]
+                at = slice(bi * batch_size, (bi + 1) * batch_size)
+                for lo, hi, members, w, b, rate_w, rate_b in groups:
+                    xbs, ybs = [], []
+                    for k, same, x, y, pconf, std, offset in members:
+                        if not same:  # else the run before it, just done, left xb and yb
+                            idx = orders[k][at]
+                            xb, yb = x[idx], y[idx]
+                        xbs.append(xb if pconf is None else mix_rows(xb, pconf, std, drawn[offset]))
+                        ybs.append(yb)
+                    xs, ys = (xbs[0], ybs[0]) if hi - lo == 1 \
+                        else (np.array(xbs), np.array(ybs))
+                    loss, dw, db = cross_entropy_grad(w, b, xs, ys)
+                    w -= rate_w * dw
+                    b -= rate_b * db
+                    epoch_loss[lo:hi] += loss * len(ybs[0])
+            for k, run in enumerate(runs):
+                run.losses.append(float(epoch_loss[k] / run.n))
+
+    return [ClassifierModel(weights=weights[k], bias=bias[k], metadata={
+        "seed": r.config.seed,
+        "epochs": epochs,
+        "batch_size": batch_size,
+        "learning_rate": r.config.learning_rate,
         "num_classes": num_classes,
         "dim": dim,
-        "train_rows": n,
-        "perturbation": None if pconf is None else asdict(pconf),
-    }
-    return ClassifierModel(weights=weights, bias=bias, metadata=metadata,
-                           loss_history=losses)
+        "train_rows": r.n,
+        "perturbation": None if r.pconf is None else asdict(r.pconf),
+    }, loss_history=r.losses) for k, r in enumerate(runs)]
 
 
-class _DrawAhead:
-    """Every batch's mixer draws, made by the caller and one helper thread
-    together. Batch ``t`` of the run (``epoch * per_epoch + batch``) gets the
-    values ``draw_mix`` takes from ``base.derive(1, epoch, batch)``; whichever
-    thread claims ``t`` first draws it, so no value depends on the thread.
-    The helper claims batches in order, up to about ``_AHEAD_VALUES`` values
-    past the caller's batch; when the caller's batch is not ready, the caller
-    draws the next unclaimed one itself rather than wait. An error in the helper is raised from ``take``
-    with its own type; leaving the context stops and joins the helper."""
+def _plan(runs, batch_size, dim):
+    """One epoch's steps and mixer draws, the same in every epoch.
 
-    def __init__(self, base: RngStream, pconf: PerturbationConfig,
-                 config: TrainConfig, shape):
-        self._base, self._pconf, self._batch_size = base, pconf, config.batch_size
-        self._n, self._dim = shape
-        self._per_epoch = -(-self._n // config.batch_size)
-        self._total = config.epochs * self._per_epoch
-        batch_values = min(config.batch_size, self._n) * (1 + pconf.alpha * self._dim)
-        self._ahead = max(2, round(_AHEAD_VALUES / batch_values))
+    Step ``bi`` is ``(first, last, groups)``: its draws are slots ``first``
+    to ``last - 1``, and each group ``(lo, hi, offsets)`` is a range of
+    runs with equal batch rows and at most ``_STACK_VALUES`` values, with
+    each run's draw as an offset from ``first`` (None without the mixer).
+    A slot is ``(base, pconf, bi, rows)``, the key of one distinct draw.
+    """
+    plan, slots, slot_index = [], [], {}
+    for bi in range(max(-(-r.n // batch_size) for r in runs)):
+        first, groups, prev = len(slots), [], None
+        for k, run in enumerate(runs):
+            rows = min(batch_size, run.n - bi * batch_size)
+            if rows <= 0:
+                prev = None
+                continue
+            offset = None
+            if run.mixing:
+                key = (run.base, run.pconf, bi, rows)
+                if key not in slot_index:
+                    slot_index[key] = len(slots)
+                    slots.append(key)
+                offset = slot_index[key] - first
+            if prev == rows and (k + 1 - groups[-1][0]) * rows * dim <= _STACK_VALUES:
+                groups[-1][1] += 1
+                groups[-1][2].append(offset)
+            else:
+                groups.append([k, k + 1, [offset]])
+            prev = rows
+        plan.append((first, len(slots), groups))
+    return plan, slots
+
+
+class _Draws:
+    """The distinct mixer draws of a training in the order it takes them:
+    draw ``t`` is slot ``t % len(slots)`` of epoch ``t // len(slots)``, the
+    values ``draw_mix`` takes from ``base.derive(1, epoch, batch)`` for a
+    slot ``(base, pconf, batch, rows)``. The generator states of an epoch's
+    slots are made together (``derived_states``) and loaded in turn into one
+    generator per thread. Each draw is made when taken; :class:`_DrawAhead`
+    shares the drawing with a helper thread."""
+
+    def __init__(self, slots, epochs: int, dim: int):
+        self._slots, self._dim = slots, dim
+        self._states = functools.lru_cache(maxsize=4)(self._epoch_states)
+        self._gen = _generator()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+    def _epoch_states(self, epoch: int) -> list[dict]:
+        return derived_states([(base, (1, epoch, bi)) for base, _, bi, _ in self._slots])
+
+    def _draw(self, t: int, gen: np.random.Generator):
+        epoch, s = divmod(t, len(self._slots))
+        _, pconf, _, rows = self._slots[s]
+        gen.bit_generator.state = self._states(epoch)[s]
+        return draw_mix(pconf, (rows, self._dim), gen)
+
+    def take(self, t: int):
+        """Draw ``t``; draws are taken in order."""
+        return self._draw(t, self._gen)
+
+
+def _generator() -> np.random.Generator:
+    """A generator whose state ``_Draws`` replaces before each draw."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+class _DrawAhead(_Draws):
+    """The draws of :class:`_Draws`, made by the caller and one helper
+    thread together; whichever thread claims draw ``t`` first makes it, so
+    no value depends on the thread. The helper claims draws in order, up to
+    about ``_AHEAD_VALUES`` values past the caller's; when the caller's draw
+    is not ready, the caller makes the next unclaimed one itself rather
+    than wait. An error in the helper is raised from ``take`` with its own
+    type; leaving the context stops and joins the helper."""
+
+    def __init__(self, slots, epochs: int, dim: int):
+        super().__init__(slots, epochs, dim)
+        self._total = epochs * len(slots)
+        values = max(rows * (1 + pconf.alpha * dim) for _, pconf, _, rows in slots)
+        self._ahead = max(2, round(_AHEAD_VALUES / values))
         self._cond = threading.Condition()
-        self._ready = {}  # batch -> draws, for batches up to _ahead past _using
-        self._claimed = 0  # batches 0.._claimed - 1 are drawn or being drawn
+        self._ready = {}  # draw -> values, for draws up to _ahead past _using
+        self._claimed = 0  # draws 0.._claimed - 1 are made or being made
         self._using = 0
         self._error = None
         self._stop = False
@@ -203,13 +364,9 @@ class _DrawAhead:
             self._cond.notify_all()
         self._helper.join()
 
-    def _draw(self, t: int):
-        epoch, bi = divmod(t, self._per_epoch)
-        rows = min(self._batch_size, self._n - bi * self._batch_size)
-        return draw_mix(self._pconf, (rows, self._dim), self._base.derive(1, epoch, bi))
-
     def _run(self):
         try:
+            gen = _generator()
             while True:
                 with self._cond:
                     if self._claimed >= self._using + self._ahead:
@@ -219,7 +376,7 @@ class _DrawAhead:
                         return
                     t = self._claimed
                     self._claimed += 1
-                drawn = self._draw(t)
+                drawn = self._draw(t, gen)
                 with self._cond:
                     self._ready[t] = drawn
                     self._cond.notify_all()
@@ -231,9 +388,7 @@ class _DrawAhead:
     def _half_free(self) -> bool:
         return self._stop or self._claimed <= self._using + self._ahead // 2
 
-    def take(self, epoch: int, bi: int):
-        """The draws of batch ``bi`` of ``epoch``; batches are taken in order."""
-        t = epoch * self._per_epoch + bi
+    def take(self, t: int):
         with self._cond:
             self._using = t
             if self._half_free():
@@ -250,7 +405,7 @@ class _DrawAhead:
                     self._cond.wait()
                 else:
                     return self._ready.pop(t)
-            drawn = self._draw(s)
+            drawn = self._draw(s, self._gen)
             if s == t:
                 return drawn
             with self._cond:
@@ -338,6 +493,8 @@ def ratio_study(train_x, train_y, test_x, test_y, ratios,
     """Train aug and noaug arms on deterministic subsamples of the training
     split and evaluate each on the fixed test split.
 
+    All arms train in one :func:`train_many` call, each on its subsample's
+    rows of the one training matrix, and are evaluated after all training.
     When a subsample loses a class entirely, a warning is emitted and that
     class is excluded from the reported macro F1.
     """
@@ -346,13 +503,12 @@ def ratio_study(train_x, train_y, test_x, test_y, ratios,
     test_y = np.asarray(test_y, dtype=np.int64)
     if num_classes is None:
         num_classes = int(max(train_y.max(), test_y.max())) + 1
-    rows = []
+    runs, kept = [], []
     for key, ratio in enumerate(ratios):
         if not (0.0 < ratio <= 1.0):
             raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
         idx = subsample_indices(train_x.shape[0], ratio, config.seed, key)
-        x_sub, y_sub = train_x[idx], train_y[idx]
-        present = set(np.unique(y_sub).tolist())
+        present = set(np.unique(train_y[idx]).tolist())
         missing = sorted(set(np.unique(train_y).tolist()) - present)
         if missing:
             warnings.warn(
@@ -360,12 +516,15 @@ def ratio_study(train_x, train_y, test_x, test_y, ratios,
                 "and are excluded from macro F1")
         for arm in ("aug", "noaug"):
             arm_config = config if arm == "aug" else replace(config, perturbation=None)
-            model = train(x_sub, y_sub, arm_config, num_classes=num_classes)
-            preds = predict(model, test_x)
-            report = evaluate(preds, test_y, num_classes)
-            macro = report.macro_f1_over(present) if missing else report.macro_f1
-            rows.append(RatioRow(ratio=ratio, arm=arm,
-                                 micro_f1=report.micro_f1, macro_f1=macro))
+            runs.append((train_x, train_y, arm_config, idx))
+            kept.append((ratio, arm, present if missing else None))
+    models = train_many(runs, num_classes)
+    rows = []
+    for (ratio, arm, present), model in zip(kept, models):
+        report = evaluate(predict(model, test_x), test_y, num_classes)
+        macro = report.macro_f1 if present is None else report.macro_f1_over(present)
+        rows.append(RatioRow(ratio=ratio, arm=arm,
+                             micro_f1=report.micro_f1, macro_f1=macro))
     return rows
 
 

@@ -82,20 +82,23 @@ class EmbeddingMatrix:
     precision and halves file size). All values must be finite.
     """
 
-    def __init__(self, ids, values):
+    def __init__(self, ids, values, *, _finite: bool = False):
+        # _finite: the values were already checked (by the file reader, or
+        # as rows of another matrix), so they are not checked again
         values = np.asarray(values, dtype=np.float32)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
         ids = list(ids)
         if len(ids) != values.shape[0]:
             raise ValueError(f"{len(ids)} ids for {values.shape[0]} rows")
-        if len(set(ids)) != len(ids):
+        index = {item_id: i for i, item_id in enumerate(ids)}
+        if len(index) != len(ids):
             raise ValueError("ids must be unique")
-        if values.size and not np.isfinite(values).all():
+        if not _finite and values.size and not np.isfinite(values).all():
             raise NonFinitePayloadError("embedding values must be finite")
         self.ids: list[str] = ids
         self.values: np.ndarray = values
-        self._index = {item_id: i for i, item_id in enumerate(ids)}
+        self._index = index
 
     @property
     def rows(self) -> int:
@@ -120,10 +123,13 @@ class EmbeddingMatrix:
         return f"EmbeddingMatrix(rows={self.rows}, dim={self.dim})"
 
     def reindex(self, ids) -> "EmbeddingMatrix":
-        """Rows reordered to the given id sequence (all ids must exist)."""
+        """Rows reordered to the given id sequence (all ids must exist); the
+        matrix itself when that is already its order."""
         ids = list(ids)
+        if ids == self.ids:
+            return self
         idx = [self._index[i] for i in ids]
-        return EmbeddingMatrix(ids, self.values[idx])
+        return EmbeddingMatrix(ids, self.values[idx], _finite=True)
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,83 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed,
                                      spawn_key=(self.stream_id, *indices))
         return np.random.Generator(np.random.PCG64(seq))
+
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def derived_states(keys) -> list[dict]:
+    """For each key ``(stream, indices)``, the ``bit_generator.state`` of
+    ``stream.derive(*indices)``, so that one reused generator can take each
+    in turn: assigning it gives the same draws as the derived generator.
+
+    A derive costs about 14 us, mostly numpy's SeedSequence machinery. Here
+    its hash runs over all keys at once, one uint32 column per entropy word,
+    followed by PCG64's seeding step; for a few hundred keys that is about
+    4 us a key. Keys with a word outside uint32, or of unequal lengths, go
+    through numpy's own SeedSequence.
+    """
+    entropy = [(stream.seed, 0, 0, 0, stream.stream_id, *indices) for stream, indices in keys]
+    if entropy and len(set(map(len, entropy))) == 1 \
+            and all(0 <= v <= _M32 for row in entropy for v in row):
+        columns = np.array(entropy, dtype=np.uint32).T
+        words = _seed_words(list(columns)).T.tolist()
+    else:
+        words = [np.random.SeedSequence(stream.seed, spawn_key=(stream.stream_id, *indices))
+                 .generate_state(8).tolist() for stream, indices in keys]
+    states = []
+    for w in words:
+        # generate_state(4, uint64) read as PCG64's 128-bit seed and sequence
+        initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+        inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _M128
+        state = ((inc + initstate) * _PCG_MULT + inc) & _M128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _seed_words(entropy: list) -> np.ndarray:
+    """SeedSequence's mixing of its 4-word pool and ``generate_state(8)``,
+    run on uint32 columns, one per entropy word (a seed word padded with
+    three zeros, as numpy pads a seed that comes with a spawn key, then the
+    spawn key); returns the 8 output words as rows."""
+    a = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 * (len(entropy) - 4) + 1)
+    steps = iter(range(len(a) - 1))
+    shift = np.uint32(16)
+
+    def hashmix(value):
+        i = next(steps)
+        value = (value ^ a[i]) * a[i + 1]
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> shift)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    b = _hash_constants(_INIT_B, _MULT_B, 9)
+    out = [(pool[i % 4] ^ b[i]) * b[i + 1] for i in range(8)]
+    return np.array([value ^ (value >> shift) for value in out])
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant SeedSequence starts from and its next count - 1
+    values, each the last times ``mult`` modulo 2**32."""
+    consts = [init]
+    while len(consts) < count:
+        consts.append(consts[-1] * mult & _M32)
+    return np.array(consts, dtype=np.uint32)
 
 
 def split(ids, labels, spec: SplitSpec):
@@ -276,6 +359,6 @@ def read_embeddings(path) -> EmbeddingMatrix:
     if values.size and not np.isfinite(values).all():
         raise NonFinitePayloadError(f"{path}: payload contains NaN or Inf")
     try:
-        return EmbeddingMatrix(ids, values)
+        return EmbeddingMatrix(ids, values, _finite=True)
     except ValueError as exc:  # duplicate ids
         raise EmbeddingFormatError(f"{path}: {exc}") from exc

@@ -85,29 +85,45 @@ _FIELD_TYPES = {"id": "a nonempty string", "text": "a string", "user_id": "a str
 def _message_from_obj(obj: dict, line_no: int) -> Message:
     """The message of one line's object; CorpusError with one problem per
     field that is missing or not of its JSON type (nothing is coerced)."""
-    entities, location = obj.get("entities", []), obj.get("location")
-    label, origin = obj.get("label"), obj.get("origin")
-    # json.loads makes exact types, and type(True) is bool, not int
-    wrong = {
-        "id": type(obj.get("id")) is not str or not obj["id"],
-        "text": type(obj.get("text")) is not str,
-        "user_id": type(obj.get("user_id")) is not str,
-        "timestamp": type(obj.get("timestamp")) is not int,
-        "entities": type(entities) is not list or any(type(e) is not str for e in entities),
-        "location": location is not None and type(location) is not str,
-        "label": label is not None and (type(label) is not int or label < 0),
-        "origin": origin is not None and (type(origin) is not dict
-                                          or type(origin.get("strategy")) is not str
-                                          or type(origin.get("source_id")) is not str)}
-    if True in wrong.values():
-        raise CorpusError(f"line {line_no}: {key} must be {_FIELD_TYPES[key]}, got "
-                          + (json.dumps(obj[key]) if key in obj else "nothing")
-                          for key, bad in wrong.items() if bad)
-    return Message(id=obj["id"], text=obj["text"], user_id=obj["user_id"],
-                   timestamp=obj["timestamp"], entities=tuple(entities),
-                   location=location, label=label,
-                   origin=None if origin is None
-                   else Origin(origin["strategy"], origin["source_id"]))
+    get = obj.get
+    mid, text, user_id, timestamp = get("id"), get("text"), get("user_id"), get("timestamp")
+    entities, location, label, origin = get("entities", []), get("location"), \
+        get("label"), get("origin")
+    # one flag per _FIELD_TYPES key, in its order; json makes exact types,
+    # and type(True) is bool, not int
+    ok = (type(mid) is str and mid != "",
+          type(text) is str,
+          type(user_id) is str,
+          type(timestamp) is int,
+          type(entities) is list and all(type(e) is str for e in entities),
+          location is None or type(location) is str,
+          label is None or (type(label) is int and label >= 0),
+          origin is None or (type(origin) is dict
+                             and type(origin.get("strategy")) is str
+                             and type(origin.get("source_id")) is str))
+    if all(ok):
+        return Message(mid, text, user_id, timestamp, tuple(entities), location, label,
+                       None if origin is None
+                       else Origin(origin["strategy"], origin["source_id"]))
+    raise CorpusError(f"line {line_no}: {key} must be {_FIELD_TYPES[key]}, got "
+                      + (json.dumps(obj[key]) if key in obj else "nothing")
+                      for key, good in zip(_FIELD_TYPES, ok) if not good)
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _json_line(line: str):
+    """``json.loads`` of a stripped line. The scanner takes a line that is
+    one JSON value as a whole; any other line goes to ``json.loads``,
+    which raises its own message."""
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    return json.loads(line)
 
 
 def parse_corpus(path) -> Corpus:
@@ -148,7 +164,7 @@ def _parse_lines(numbered_lines, problems) -> Corpus:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = _json_line(line)
         except json.JSONDecodeError as exc:
             problems.append(f"line {line_no}: invalid JSON ({exc.msg})")
             continue
@@ -172,7 +188,10 @@ def _parse_lines(numbered_lines, problems) -> Corpus:
     problems += _invariant_problems(messages, lambda i: f"line {lines[i]}")
     if problems:
         raise CorpusError(problems)
-    return Corpus(messages=tuple(messages))
+    # the invariants are checked above with line numbers, not again in Corpus
+    corpus = object.__new__(Corpus)
+    object.__setattr__(corpus, "messages", tuple(messages))
+    return corpus
 
 
 def write_corpus(corpus: Corpus, path) -> None:

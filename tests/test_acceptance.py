@@ -7,7 +7,8 @@ synthetic fixtures) and prints one pass/fail line. Run with:
 import time
 
 import numpy as np
-from eventaug.classify import TrainConfig, cross_entropy_grad, predict, train
+from eventaug.classify import (TrainConfig, cross_entropy_grad, predict, train,
+                               train_many)
 from eventaug.cli import main
 from eventaug.diagnostics import moments
 from eventaug.ingest import Corpus
@@ -306,21 +307,43 @@ def imbalanced_dataset(seed):
             np.vstack(xt), np.concatenate(yt))
 
 
-def test_criterion_09_imbalance_benefit():
-    started = time.perf_counter()
-    per_seed = []
-    for seed in range(10):
+def c9_runs(seeds, epochs):
+    """Criterion 9's aug and noaug runs for each seed, and the test split of
+    each seed."""
+    runs, tests = [], []
+    for seed in seeds:
         x_train, y_train, x_test, y_test = imbalanced_dataset(seed)
         sigma = 0.1 * float(x_train.std())
-        macro = {}
         for arm in ("aug", "noaug"):
             perturbation = PerturbationConfig(method="GP", alpha=0.6,
                                               sigma=sigma) if arm == "aug" else None
-            config = TrainConfig(epochs=1000, batch_size=64, learning_rate=1.0,
-                                 seed=seed, perturbation=perturbation)
-            model = train(x_train, y_train, config, num_classes=6)
-            preds = predict(model, x_test)
-            macro[arm] = evaluate(preds, y_test, 6).macro_f1
+            runs.append((x_train, y_train,
+                         TrainConfig(epochs=epochs, batch_size=64, learning_rate=1.0,
+                                     seed=seed, perturbation=perturbation)))
+        tests.append((x_test, y_test))
+    return runs, tests
+
+
+def test_criterion_09_stacked_runs_match_train():
+    # criterion 9 trains its 20 runs in one train_many call; on one seed
+    # its models are bitwise those of separate train() calls
+    runs, _ = c9_runs([0, 1], epochs=30)
+    stacked = train_many(runs, num_classes=6)
+    for run, model in zip(runs[:2], stacked):
+        alone = train(*run, num_classes=6)
+        assert model.weights.tobytes() == alone.weights.tobytes()
+        assert model.bias.tobytes() == alone.bias.tobytes()
+        assert model.loss_history == alone.loss_history
+
+
+def test_criterion_09_imbalance_benefit():
+    started = time.perf_counter()
+    runs, tests = c9_runs(range(10), epochs=1000)
+    models = train_many(runs, num_classes=6)
+    per_seed = []
+    for seed, (x_test, y_test) in enumerate(tests):
+        macro = {arm: evaluate(predict(models[2 * seed + i], x_test), y_test, 6).macro_f1
+                 for i, arm in enumerate(("aug", "noaug"))}
         per_seed.append((seed, macro["aug"], macro["noaug"]))
         print(f"\n  seed {seed}: macro_f1 aug={macro['aug']:.4f} "
               f"noaug={macro['noaug']:.4f} "

@@ -2,7 +2,9 @@ import hashlib
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from eventaug import classify
 from eventaug.classify import (DegenerateDataError, TrainConfig,
                                cross_entropy_grad, load_model, predict,
                                ratio_study, save_model, softmax,
-                               subsample_indices, train, write_ratio_csv)
+                               subsample_indices, train, train_many,
+                               write_ratio_csv)
 from eventaug.classify import ClassifierModel
 from eventaug.core import (BadMagicError, EmbeddingFormatError,
                            NonFinitePayloadError, TruncatedPayloadError)
@@ -284,6 +287,51 @@ class TestRatioStudy:
         assert lines[1].startswith("0.5,aug,")
         assert lines[2].startswith("0.5,noaug,")
 
+    def test_degenerate_subsample_raises_after_its_warning(self):
+        x = np.random.default_rng(2).normal(size=(40, 3))
+        y = np.array([0] * 38 + [1] * 2)
+        # a seed whose 10% subsample holds class 0 only
+        seed = next(s for s in range(50) if set(y[subsample_indices(40, 0.1, s, 0)]) == {0})
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(DegenerateDataError,
+                              match=r"training set has 1 distinct class\(es\); need >= 2"):
+            warnings.simplefilter("always")
+            ratio_study(x, y, x, y, [0.1], TrainConfig(epochs=2, seed=seed))
+        assert [str(w.message) for w in caught] == [
+            "ratio 0.1: classes [1] vanished from the subsample and are excluded from macro F1"]
+
+    def test_holds_no_per_ratio_row_copies(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(10_000, 256))
+        y = np.arange(10_000) % 4
+        config = TrainConfig(epochs=1, seed=3, perturbation=PerturbationConfig(alpha=0.5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ratio_study(x, y, x[:200], y[:200], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7], config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # A copy of the 0.7 subsample's rows alone would be 0.7 * x.nbytes.
+        # What is held is about 0.2: index arrays, stacked batches and the
+        # helper thread's draws ahead.
+        assert peak < 0.35 * x.nbytes
+
+    # sha256 of ratio_study.csv on the mixer fixture, from the trainer that
+    # trained each arm alone and held each subsample's rows as a copy
+    @pytest.mark.parametrize("method,digest", [
+        ("GP", "9c47100a311e2f48d6f32a71346eb71659fe7f09720cdc496011e62ebfc90476"),
+        ("IDGP", "76192de5555f97fb001de2d0a227f62c9cbe45ea2e34baed15bb5dea7d5b37d3"),
+        ("FDP", "f40aa29f9ffc32efe525724f70ba621ad4acdf9a4cacc7e09d6464550187e274"),
+    ], ids=["GP", "IDGP", "FDP"])
+    def test_csv_matches_pinned_digest(self, tmp_path, method, digest):
+        x, y = mixer_fixture(770, n=400)
+        x_test, y_test = mixer_fixture(770, n=120, seed=4)
+        rows = ratio_study(x, y, x_test, y_test, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+                           mixer_config(method))
+        write_ratio_csv(rows, tmp_path / "study.csv")
+        assert hashlib.sha256((tmp_path / "study.csv").read_bytes()).hexdigest() == digest
+
 
 def mixer_fixture(dim, n=150, seed=3):
     rng = np.random.default_rng(seed)
@@ -365,7 +413,7 @@ class TestDrawHelper:
         monkeypatch.setattr(classify, "HELPER_MIN_VALUES", float("inf"))
         threads.clear()
         sequential = train(x, y, mixer_config(method))
-        assert threads == set()  # drawn inside mix_rows from the generator
+        assert threads == {"MainThread"}  # the caller makes every draw itself
         assert shared.weights.tobytes() == sequential.weights.tobytes()
         assert shared.bias.tobytes() == sequential.bias.tobytes()
         assert shared.loss_history == sequential.loss_history
@@ -429,3 +477,36 @@ class TestDrawHelper:
         with pytest.raises(FloatingPointError, match="step 3"):
             train(x, y, mixer_config("GP"))
         assert threading.active_count() == before
+
+
+class TestTrainMany:
+    @pytest.mark.parametrize("dim", [770, 32])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_models_equal_separate_train_calls(self, dim, method):
+        # two seeds, 150 rows (a last batch of 22) and 107 of them (a last
+        # batch of 43), with and without the mixer, on one shared matrix:
+        # at dim 32 batches of equal rows are stacked, at dim 770 a helper
+        # thread draws, and runs 0 and 2 share the draws of full batches
+        x, y = mixer_fixture(dim)
+        x = x.astype(np.float64)
+        rows = np.sort(np.random.default_rng(4).permutation(150)[:107])
+        config = mixer_config(method)
+        runs = [(x, y, config), (x, y, replace(config, seed=6)), (x, y, config, rows),
+                (x, y, replace(config, perturbation=None), rows)]
+        models = train_many(runs)
+        for run, model in zip(runs, models):
+            rx, ry = (x, y) if len(run) == 3 else (x[rows], y[rows])
+            alone = train(rx, ry, run[2], num_classes=3)
+            assert model.weights.tobytes() == alone.weights.tobytes()
+            assert model.bias.tobytes() == alone.bias.tobytes()
+            assert model.loss_history == alone.loss_history
+            assert model.metadata == alone.metadata
+
+    def test_runs_must_share_shape_and_schedule(self):
+        x, y = mixer_fixture(32)
+        with pytest.raises(ValueError, match="dim, epochs and batch size"):
+            train_many([(x, y, TrainConfig(epochs=2)), (x, y, TrainConfig(epochs=3))])
+        with pytest.raises(ValueError, match="dim, epochs and batch size"):
+            train_many([(x, y, TrainConfig()), (x[:, :8], y, TrainConfig())])
+        with pytest.raises(ValueError, match="no runs"):
+            train_many([])

@@ -9,7 +9,8 @@ import pytest
 from eventaug import cli, graph
 from eventaug.classify import load_model
 from eventaug.cli import main
-from eventaug.core import EmbeddingMatrix, SplitSpec, split, write_embeddings
+from eventaug.core import (EmbeddingMatrix, SplitSpec, read_embeddings, split,
+                           write_embeddings)
 from eventaug.ingest import Corpus, parse_corpus, write_corpus
 from eventaug.perturb import PerturbationConfig
 from eventaug.profiles import config_keys
@@ -231,25 +232,34 @@ class TestFuse:
 
     def test_file_matrix_is_freed_before_fuse(self, tmp_path, graph_corpus,
                                               monkeypatch):
+        # No second file-sized matrix is alive during fuse: a file already
+        # in corpus order (as fuse writes it) is fused as read, and the
+        # matrix of a file in any other order is freed once re-indexed.
         corpus_path, emb_path = write_graph_fixture(tmp_path, graph_corpus)
+        shuffled_path = str(tmp_path / "shuffled.sedemb")
+        write_embeddings(read_embeddings(emb_path).reindex(graph_corpus.ids()[::-1]),
+                         shuffled_path)
         read, fuse = cli.read_embeddings, graph.fuse
-        refs, alive = [], []
+        refs, seen = [], []
 
         def reading(path):
             matrix = read(path)
             refs.append(weakref.ref(matrix))
             return matrix
 
-        def fusing(*args, **kwargs):
+        def fusing(g, aligned, *args, **kwargs):
             gc.collect()
-            alive.append(refs[0]() is not None)
-            return fuse(*args, **kwargs)
+            file_matrix = refs[-1]()
+            seen.append("freed" if file_matrix is None
+                        else "fused as read" if file_matrix is aligned else "alive")
+            return fuse(g, aligned, *args, **kwargs)
 
         monkeypatch.setattr(cli, "read_embeddings", reading)
         monkeypatch.setattr(graph, "fuse", fusing)
-        assert main(["fuse", "--corpus", corpus_path, "--embeddings", emb_path,
-                     "--out", str(tmp_path / "out")]) == 0
-        assert alive == [False]
+        for path in (emb_path, shuffled_path):
+            assert main(["fuse", "--corpus", corpus_path, "--embeddings", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert seen == ["fused as read", "freed"]
 
     def test_byte_identical_reruns(self, tmp_path, graph_corpus):
         corpus_path, emb_path = write_graph_fixture(tmp_path, graph_corpus)

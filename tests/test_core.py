@@ -1,12 +1,13 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
 from eventaug.core import (BadMagicError, EmbeddingFormatError, EmbeddingMatrix,
                            NonFinitePayloadError, RngStream, SplitSpec,
-                           TruncatedPayloadError, atomic_write, read_embeddings,
-                           split, write_embeddings)
+                           TruncatedPayloadError, atomic_write, derived_states,
+                           read_embeddings, split, write_embeddings)
 
 from conftest import make_message
 
@@ -79,6 +80,12 @@ class TestEmbeddingFile:
         with pytest.raises(TruncatedPayloadError, match="expected 24 .* found 20"):
             read_embeddings(path)
 
+    def test_reindex_to_its_own_order_is_the_matrix(self):
+        m = EmbeddingMatrix(["a", "b"], np.zeros((2, 2)))
+        assert m.reindex(["a", "b"]) is m
+        with pytest.raises(ValueError, match="unique"):
+            m.reindex(["a", "a"])
+
     def test_nan_payload_rejected_on_read(self, tmp_path):
         path = tmp_path / "nan.sedemb"
         m = EmbeddingMatrix(["a"], np.ones((1, 2), dtype=np.float32))
@@ -86,7 +93,7 @@ class TestEmbeddingFile:
         blob = bytearray(path.read_bytes())
         blob[-8:-4] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(NonFinitePayloadError):
+        with pytest.raises(NonFinitePayloadError, match=re.escape(f"{path}: payload contains")):
             read_embeddings(path)
 
     def test_rejects_every_cut_bad_id_and_duplicate(self, tmp_path):
@@ -195,6 +202,24 @@ class TestRngStream:
         a = RngStream(42, 0).derive().uniform(size=100)
         b = RngStream(42, 1).derive().uniform(size=100)
         assert not np.array_equal(a, b)
+
+    def test_derived_states_are_those_of_derive(self):
+        # thousands of keys through the batched SeedSequence hash, then the
+        # keys numpy's own SeedSequence handles: words past 2**32, a
+        # different number of indices
+        keys = [(RngStream(seed, stream), (1, epoch, batch))
+                for seed in (0, 1, 7, 2**31, 2**32 - 1) for stream in (0, 3)
+                for epoch in (0, 1, 999) for batch in range(100)]
+        keys += [(RngStream(2**40), (1, 2, 3)), (RngStream(3), (2**33, 4)),
+                 (RngStream(3), ())]
+        states = derived_states(keys)
+        assert len(states) == 3003
+        for state, (stream, indices) in zip(states, keys):
+            assert state == stream.derive(*indices).bit_generator.state
+        gen = np.random.Generator(np.random.PCG64(0))
+        gen.bit_generator.state = states[123]
+        stream, indices = keys[123]
+        assert np.array_equal(gen.normal(size=50), stream.derive(*indices).normal(size=50))
 
     def test_derive_is_stable(self):
         a = RngStream(7).derive(3, 4).normal(size=8)

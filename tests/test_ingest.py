@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from eventaug import ingest
 from eventaug.core import EmbeddingMatrix, Origin
 from eventaug.ingest import (Corpus, CorpusError, attach_embeddings,
                              naive_entities, parse_corpus, temporal_features,
@@ -101,6 +102,40 @@ class TestParseCorpus:
         ])
         with pytest.raises(CorpusError, match="m3"):
             parse_corpus(path)
+
+    def test_each_line_must_be_one_json_value(self, tmp_path):
+        # joined, lines 2 and 3 would read as a list of two valid messages
+        path = tmp_path / "split.jsonl"
+        path.write_text(json.dumps(line("m0")) + "\n"
+                        + '{"id": "m1", "a": [{}\n'
+                        + '{}], "text": "t", "user_id": "u", "timestamp": 1}, '
+                        + json.dumps(line("m2")) + "\n"
+                        + json.dumps(line("m3")) + ' {"id": "m4"}\n'
+                        + "\ufeff" + json.dumps(line("m5")) + "\n")
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(path)
+        problems = []
+        for bad in ('{"id": "m1", "a": [{}',
+                    '{}], "text": "t", "user_id": "u", "timestamp": 1}, '
+                    + json.dumps(line("m2")),
+                    json.dumps(line("m3")) + ' {"id": "m4"}',
+                    "\ufeff" + json.dumps(line("m5"))):
+            with pytest.raises(json.JSONDecodeError) as exc:
+                json.loads(bad)
+            problems.append(exc.value.msg)
+        assert info.value.problems == [f"line {n}: invalid JSON ({msg})"
+                                       for n, msg in zip((2, 3, 4, 5), problems)]
+
+    def test_invariants_are_checked_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "ok.jsonl"
+        write_lines(path, [line("m1"), line("m2", origin={"strategy": "paraphrase",
+                                                          "source_id": "m1"})])
+        calls = []
+        check = ingest._invariant_problems
+        monkeypatch.setattr(ingest, "_invariant_problems",
+                            lambda *args: calls.append(1) or check(*args))
+        assert parse_corpus(path).ids() == ["m1", "m2"]
+        assert len(calls) == 1
 
     def test_every_problem_in_one_error(self, tmp_path):
         path = tmp_path / "two.jsonl"
@@ -235,6 +270,11 @@ class TestAttachEmbeddings:
         aligned = attach_embeddings(corpus, emb)
         assert aligned.ids == ["m0", "m1", "m2"]
         assert np.array_equal(aligned.row("m2"), values[0])
+
+    def test_matrix_in_corpus_order_is_returned_as_it_is(self):
+        corpus = Corpus(messages=tuple(make_message(f"m{i}") for i in range(3)))
+        emb = EmbeddingMatrix(corpus.ids(), np.ones((3, 2), dtype=np.float32))
+        assert attach_embeddings(corpus, emb) is emb
 
     def test_missing_id_named(self):
         corpus = Corpus(messages=(make_message("m1"), make_message("m2")))
