@@ -9,7 +9,6 @@ there is no adaptive optimizer state.
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
 import threading
@@ -20,7 +19,7 @@ import numpy as np
 
 from .core import (MODEL_MAGIC, BadMagicError, EmbeddingFormatError,
                    NonFinitePayloadError, RngStream, TruncatedPayloadError,
-                   atomic_write, derived_states)
+                   atomic_write)
 from .metrics import EvalReport, evaluate
 from .perturb import PerturbationConfig, dataset_std, draw_mix, mix_rows
 
@@ -37,14 +36,6 @@ _U32 = struct.Struct("<I")
 # 0.70 at dim 770. Repeats of these figures vary by about 0.1.
 HELPER_MIN_VALUES = 8192
 _AHEAD_VALUES = 1 << 17  # about how many values may be drawn ahead of the batch in use
-# ``train_many`` stacks the batches of at most this many values into one
-# gradient product. Gradient time per run, copy into the stack included,
-# stacked over single (2 cores, numpy 2.4.6, one BLAS thread, 64-row
-# batches, 5 classes): dim 32 0.92 for
-# 2 runs, 0.41 for 4, 0.27 for 20; dim 128 0.72 for 4, 0.48 for 20; dim
-# 384 0.94 for 4, 1.19 for 14; dim 770 1.22 for 2, 1.56 for 14, where the
-# stack outgrows the cache between the forward and backward products.
-_STACK_VALUES = 1 << 16
 
 
 class DegenerateDataError(ValueError):
@@ -85,13 +76,7 @@ class ClassifierModel:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    # The row maximum one column at a time: the same values as
-    # ``max(axis=-1)``, whose reduction over a short last axis took 88 us on
-    # a (20, 64, 6) stack against 12 us for this loop.
-    top = logits[..., 0]
-    for col in range(1, logits.shape[-1]):
-        top = np.maximum(top, logits[..., col])
-    shifted = logits - top[..., None]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
@@ -100,23 +85,18 @@ def cross_entropy_grad(weights, bias, x, y):
     """Mean softmax cross-entropy loss and its analytic gradient.
 
     Returns (loss, d_weights, d_bias). Exposed separately so the gradient
-    can be checked against finite differences. Given a stack of R runs,
-    ``weights`` (R, C, D), ``bias`` (R, C), ``x`` (R, B, D) and ``y``
-    (R, B), it returns R of each, every one bitwise equal to that run's own
-    call.
+    can be checked against finite differences.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n = x.shape[-2]
-    probs = softmax(x @ weights.swapaxes(-1, -2) + bias[..., None, :])
-    flat = probs.reshape(-1, probs.shape[-1])
-    picked = np.arange(flat.shape[0]), y.ravel()
+    n = x.shape[0]
+    probs = softmax(x @ weights.T + bias)
     eps = 1e-12
-    loss = -np.log(np.clip(flat[picked], eps, None)).reshape(y.shape).mean(axis=-1)
+    loss = -np.log(np.clip(probs[np.arange(n), y], eps, None)).mean()
     delta = probs.copy()
-    delta.reshape(flat.shape)[picked] -= 1.0
+    delta[np.arange(n), y] -= 1.0
     delta /= n
-    return loss, delta.swapaxes(-1, -2) @ x, delta.sum(axis=-2)
+    return loss, delta.T @ x, delta.sum(axis=0)
 
 
 def train(fused_train, labels, config: TrainConfig,
@@ -176,12 +156,12 @@ def train_many(runs, num_classes: int | None = None) -> list[ClassifierModel]:
     runs have the same dim, epochs and batch size, and ``num_classes``
     defaults to one more than the largest label of any run.
 
-    The runs step through (epoch, batch) together. At each step the runs
-    next to each other in ``runs`` with equal batch rows take one stacked
-    gradient product, and runs whose mixer would draw the same values (the
-    same seed, perturbation and batch rows) share one draw. When a batch's
-    expected noise reaches ``HELPER_MIN_VALUES``, a helper thread shares
-    the drawing (``_DrawAhead``); the parameters are the same.
+    The runs step through (epoch, batch) together. Runs whose mixer would
+    draw the same values (the same seed, perturbation and batch rows)
+    share one draw, and a run on the same matrix, labels, rows and seed as
+    the run before it takes that run's batch. When a batch's expected
+    noise reaches ``HELPER_MIN_VALUES``, a helper thread shares the drawing
+    (``_DrawAhead``); the parameters are the same.
     """
     runs = [_Run(*run) for run in runs]
     if not runs:
@@ -198,27 +178,11 @@ def train_many(runs, num_classes: int | None = None) -> list[ClassifierModel]:
     for prev, run in zip(runs, runs[1:]):
         run.same_batches = run.x is prev.x and run.y is prev.y and run.rows is prev.rows \
             and run.config.seed == prev.config.seed
+    for run in runs:
+        run.weights = np.zeros((num_classes, dim))
+        run.bias = np.zeros(num_classes)
 
-    weights = np.zeros((len(runs), num_classes, dim))
-    bias = np.zeros((len(runs), num_classes))
-    rates = np.array([[r.config.learning_rate] for r in runs])
-
-    def group(lo, hi, offsets):
-        """A step's work for runs lo..hi-1: per run its index, whether it
-        takes the batch of the run before it, rows, labels, mixer config
-        (None without the mixer), std and draw; then the weights and bias
-        the step updates, and their rates."""
-        members = [(k, runs[k].same_batches, runs[k].x, runs[k].y,
-                    runs[k].pconf if runs[k].mixing else None, runs[k].std, offset)
-                   for k, offset in zip(range(lo, hi), offsets)]
-        if hi - lo == 1:
-            rate = runs[lo].config.learning_rate
-            return members, weights[lo], bias[lo], rate, rate
-        return members, weights[lo:hi], bias[lo:hi], rates[lo:hi, :, None], rates[lo:hi]
-
-    plan, slots = _plan(runs, batch_size, dim)
-    plan = [(first, last, [(lo, hi, *group(lo, hi, offsets)) for lo, hi, offsets in groups])
-            for first, last, groups in plan]
+    plan, slots = _plan(runs, batch_size)
     ahead = any(pconf.alpha * rows * dim >= HELPER_MIN_VALUES
                 for _, pconf, _, rows in slots)
     with (_DrawAhead if ahead else _Draws)(slots, epochs, dim) as draws:
@@ -226,28 +190,24 @@ def train_many(runs, num_classes: int | None = None) -> list[ClassifierModel]:
             orders = []
             for run in runs:
                 orders.append(orders[-1] if run.same_batches else run.order(epoch))
-            epoch_loss = np.zeros(len(runs))
-            for bi, (first, last, groups) in enumerate(plan):
+            epoch_loss = [0.0] * len(runs)
+            for bi, (first, last, members) in enumerate(plan):
                 drawn = [draws.take(epoch * len(slots) + s) for s in range(first, last)]
                 at = slice(bi * batch_size, (bi + 1) * batch_size)
-                for lo, hi, members, w, b, rate_w, rate_b in groups:
-                    xbs, ybs = [], []
-                    for k, same, x, y, pconf, std, offset in members:
-                        if not same:  # else the run before it, just done, left xb and yb
-                            idx = orders[k][at]
-                            xb, yb = x[idx], y[idx]
-                        xbs.append(xb if pconf is None else mix_rows(xb, pconf, std, drawn[offset]))
-                        ybs.append(yb)
-                    xs, ys = (xbs[0], ybs[0]) if hi - lo == 1 \
-                        else (np.array(xbs), np.array(ybs))
-                    loss, dw, db = cross_entropy_grad(w, b, xs, ys)
-                    w -= rate_w * dw
-                    b -= rate_b * db
-                    epoch_loss[lo:hi] += loss * len(ybs[0])
+                for k, offset in members:
+                    run = runs[k]
+                    if not run.same_batches:  # else the run before it, just done, left xb and yb
+                        idx = orders[k][at]
+                        xb, yb = run.x[idx], run.y[idx]
+                    xm = xb if offset is None else mix_rows(xb, run.pconf, run.std, drawn[offset])
+                    loss, dw, db = cross_entropy_grad(run.weights, run.bias, xm, yb)
+                    run.weights -= run.config.learning_rate * dw
+                    run.bias -= run.config.learning_rate * db
+                    epoch_loss[k] += loss * len(yb)
             for k, run in enumerate(runs):
                 run.losses.append(float(epoch_loss[k] / run.n))
 
-    return [ClassifierModel(weights=weights[k], bias=bias[k], metadata={
+    return [ClassifierModel(weights=r.weights, bias=r.bias, metadata={
         "seed": r.config.seed,
         "epochs": epochs,
         "batch_size": batch_size,
@@ -256,25 +216,24 @@ def train_many(runs, num_classes: int | None = None) -> list[ClassifierModel]:
         "dim": dim,
         "train_rows": r.n,
         "perturbation": None if r.pconf is None else asdict(r.pconf),
-    }, loss_history=r.losses) for k, r in enumerate(runs)]
+    }, loss_history=r.losses) for r in runs]
 
 
-def _plan(runs, batch_size, dim):
+def _plan(runs, batch_size):
     """One epoch's steps and mixer draws, the same in every epoch.
 
-    Step ``bi`` is ``(first, last, groups)``: its draws are slots ``first``
-    to ``last - 1``, and each group ``(lo, hi, offsets)`` is a range of
-    runs with equal batch rows and at most ``_STACK_VALUES`` values, with
-    each run's draw as an offset from ``first`` (None without the mixer).
-    A slot is ``(base, pconf, bi, rows)``, the key of one distinct draw.
+    Step ``bi`` is ``(first, last, members)``: its draws are slots
+    ``first`` to ``last - 1``, and each member ``(k, offset)`` is a run
+    with a batch at this step and its draw as an offset from ``first``
+    (None without the mixer). A slot is ``(base, pconf, bi, rows)``, the
+    key of one distinct draw.
     """
     plan, slots, slot_index = [], [], {}
     for bi in range(max(-(-r.n // batch_size) for r in runs)):
-        first, groups, prev = len(slots), [], None
+        first, members = len(slots), []
         for k, run in enumerate(runs):
             rows = min(batch_size, run.n - bi * batch_size)
             if rows <= 0:
-                prev = None
                 continue
             offset = None
             if run.mixing:
@@ -283,13 +242,8 @@ def _plan(runs, batch_size, dim):
                     slot_index[key] = len(slots)
                     slots.append(key)
                 offset = slot_index[key] - first
-            if prev == rows and (k + 1 - groups[-1][0]) * rows * dim <= _STACK_VALUES:
-                groups[-1][1] += 1
-                groups[-1][2].append(offset)
-            else:
-                groups.append([k, k + 1, [offset]])
-            prev = rows
-        plan.append((first, len(slots), groups))
+            members.append((k, offset))
+        plan.append((first, len(slots), members))
     return plan, slots
 
 
@@ -297,15 +251,11 @@ class _Draws:
     """The distinct mixer draws of a training in the order it takes them:
     draw ``t`` is slot ``t % len(slots)`` of epoch ``t // len(slots)``, the
     values ``draw_mix`` takes from ``base.derive(1, epoch, batch)`` for a
-    slot ``(base, pconf, batch, rows)``. The generator states of an epoch's
-    slots are made together (``derived_states``) and loaded in turn into one
-    generator per thread. Each draw is made when taken; :class:`_DrawAhead`
-    shares the drawing with a helper thread."""
+    slot ``(base, pconf, batch, rows)``. Each draw is made when taken;
+    :class:`_DrawAhead` shares the drawing with a helper thread."""
 
     def __init__(self, slots, epochs: int, dim: int):
         self._slots, self._dim = slots, dim
-        self._states = functools.lru_cache(maxsize=4)(self._epoch_states)
-        self._gen = _generator()
 
     def __enter__(self):
         return self
@@ -313,23 +263,14 @@ class _Draws:
     def __exit__(self, *exc_info):
         pass
 
-    def _epoch_states(self, epoch: int) -> list[dict]:
-        return derived_states([(base, (1, epoch, bi)) for base, _, bi, _ in self._slots])
-
-    def _draw(self, t: int, gen: np.random.Generator):
+    def _draw(self, t: int):
         epoch, s = divmod(t, len(self._slots))
-        _, pconf, _, rows = self._slots[s]
-        gen.bit_generator.state = self._states(epoch)[s]
-        return draw_mix(pconf, (rows, self._dim), gen)
+        base, pconf, bi, rows = self._slots[s]
+        return draw_mix(pconf, (rows, self._dim), base.derive(1, epoch, bi))
 
     def take(self, t: int):
         """Draw ``t``; draws are taken in order."""
-        return self._draw(t, self._gen)
-
-
-def _generator() -> np.random.Generator:
-    """A generator whose state ``_Draws`` replaces before each draw."""
-    return np.random.Generator(np.random.PCG64(0))
+        return self._draw(t)
 
 
 class _DrawAhead(_Draws):
@@ -366,7 +307,6 @@ class _DrawAhead(_Draws):
 
     def _run(self):
         try:
-            gen = _generator()
             while True:
                 with self._cond:
                     if self._claimed >= self._using + self._ahead:
@@ -376,7 +316,7 @@ class _DrawAhead(_Draws):
                         return
                     t = self._claimed
                     self._claimed += 1
-                drawn = self._draw(t, gen)
+                drawn = self._draw(t)
                 with self._cond:
                     self._ready[t] = drawn
                     self._cond.notify_all()
@@ -405,7 +345,7 @@ class _DrawAhead(_Draws):
                     self._cond.wait()
                 else:
                     return self._ready.pop(t)
-            drawn = self._draw(s, self._gen)
+            drawn = self._draw(s)
             if s == t:
                 return drawn
             with self._cond:

@@ -171,83 +171,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-def derived_states(keys) -> list[dict]:
-    """For each key ``(stream, indices)``, the ``bit_generator.state`` of
-    ``stream.derive(*indices)``, so that one reused generator can take each
-    in turn: assigning it gives the same draws as the derived generator.
-
-    A derive costs about 14 us, mostly numpy's SeedSequence machinery. Here
-    its hash runs over all keys at once, one uint32 column per entropy word,
-    followed by PCG64's seeding step; for a few hundred keys that is about
-    4 us a key. Keys with a word outside uint32, or of unequal lengths, go
-    through numpy's own SeedSequence.
-    """
-    entropy = [(stream.seed, 0, 0, 0, stream.stream_id, *indices) for stream, indices in keys]
-    if entropy and len(set(map(len, entropy))) == 1 \
-            and all(0 <= v <= _M32 for row in entropy for v in row):
-        columns = np.array(entropy, dtype=np.uint32).T
-        words = _seed_words(list(columns)).T.tolist()
-    else:
-        words = [np.random.SeedSequence(stream.seed, spawn_key=(stream.stream_id, *indices))
-                 .generate_state(8).tolist() for stream, indices in keys]
-    states = []
-    for w in words:
-        # generate_state(4, uint64) read as PCG64's 128-bit seed and sequence
-        initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
-        inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _M128
-        state = ((inc + initstate) * _PCG_MULT + inc) & _M128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
-
-
-def _seed_words(entropy: list) -> np.ndarray:
-    """SeedSequence's mixing of its 4-word pool and ``generate_state(8)``,
-    run on uint32 columns, one per entropy word (a seed word padded with
-    three zeros, as numpy pads a seed that comes with a spawn key, then the
-    spawn key); returns the 8 output words as rows."""
-    a = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 * (len(entropy) - 4) + 1)
-    steps = iter(range(len(a) - 1))
-    shift = np.uint32(16)
-
-    def hashmix(value):
-        i = next(steps)
-        value = (value ^ a[i]) * a[i + 1]
-        return value ^ (value >> shift)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return result ^ (result >> shift)
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    b = _hash_constants(_INIT_B, _MULT_B, 9)
-    out = [(pool[i % 4] ^ b[i]) * b[i + 1] for i in range(8)]
-    return np.array([value ^ (value >> shift) for value in out])
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constant SeedSequence starts from and its next count - 1
-    values, each the last times ``mult`` modulo 2**32."""
-    consts = [init]
-    while len(consts) < count:
-        consts.append(consts[-1] * mult & _M32)
-    return np.array(consts, dtype=np.uint32)
-
-
 def split(ids, labels, spec: SplitSpec):
     """Partition ids into (train, val, test) lists.
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -50,14 +51,20 @@ def _invariant_problems(messages, where) -> list[str]:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable snapshot of messages. num_classes is 1 + the largest label."""
+    """Immutable snapshot of messages. num_classes is 1 + the largest label.
+
+    A breached invariant is reported at ``where(i)`` for message ``i``,
+    ``position i + 1`` unless given (the parser gives line numbers).
+    """
 
     messages: tuple[Message, ...]
+    where: InitVar[Callable[[int], str] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, where):
         if not isinstance(self.messages, tuple):
             object.__setattr__(self, "messages", tuple(self.messages))
-        problems = _invariant_problems(self.messages, lambda i: f"position {i + 1}")
+        problems = _invariant_problems(self.messages,
+                                       where or (lambda i: f"position {i + 1}"))
         if problems:
             raise CorpusError(problems)
 
@@ -185,12 +192,12 @@ def _parse_lines(numbered_lines, problems) -> Corpus:
             continue
         messages.append(msg)
         lines.append(line_no)
-    problems += _invariant_problems(messages, lambda i: f"line {lines[i]}")
+    try:
+        corpus = Corpus(tuple(messages), where=lambda i: f"line {lines[i]}")
+    except CorpusError as exc:
+        problems += exc.problems
     if problems:
         raise CorpusError(problems)
-    # the invariants are checked above with line numbers, not again in Corpus
-    corpus = object.__new__(Corpus)
-    object.__setattr__(corpus, "messages", tuple(messages))
     return corpus
 
 

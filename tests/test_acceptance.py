@@ -324,12 +324,12 @@ def c9_runs(seeds, epochs):
     return runs, tests
 
 
-def test_criterion_09_stacked_runs_match_train():
+def test_criterion_09_train_many_matches_train():
     # criterion 9 trains its 20 runs in one train_many call; on one seed
     # its models are bitwise those of separate train() calls
     runs, _ = c9_runs([0, 1], epochs=30)
-    stacked = train_many(runs, num_classes=6)
-    for run, model in zip(runs[:2], stacked):
+    models = train_many(runs, num_classes=6)
+    for run, model in zip(runs[:2], models):
         alone = train(*run, num_classes=6)
         assert model.weights.tobytes() == alone.weights.tobytes()
         assert model.bias.tobytes() == alone.bias.tobytes()

@@ -313,8 +313,8 @@ class TestRatioStudy:
         finally:
             tracemalloc.stop()
         # A copy of the 0.7 subsample's rows alone would be 0.7 * x.nbytes.
-        # What is held is about 0.2: index arrays, stacked batches and the
-        # helper thread's draws ahead.
+        # What is held besides: index arrays, batches and the helper
+        # thread's draws ahead.
         assert peak < 0.35 * x.nbytes
 
     # sha256 of ratio_study.csv on the mixer fixture, from the trainer that
@@ -485,8 +485,8 @@ class TestTrainMany:
     def test_models_equal_separate_train_calls(self, dim, method):
         # two seeds, 150 rows (a last batch of 22) and 107 of them (a last
         # batch of 43), with and without the mixer, on one shared matrix:
-        # at dim 32 batches of equal rows are stacked, at dim 770 a helper
-        # thread draws, and runs 0 and 2 share the draws of full batches
+        # at dim 770 a helper thread draws, runs 0 and 2 share the draws of
+        # full batches, and run 3 takes run 2's batches
         x, y = mixer_fixture(dim)
         x = x.astype(np.float64)
         rows = np.sort(np.random.default_rng(4).permutation(150)[:107])

@@ -6,8 +6,8 @@ import pytest
 
 from eventaug.core import (BadMagicError, EmbeddingFormatError, EmbeddingMatrix,
                            NonFinitePayloadError, RngStream, SplitSpec,
-                           TruncatedPayloadError, atomic_write, derived_states,
-                           read_embeddings, split, write_embeddings)
+                           TruncatedPayloadError, atomic_write, read_embeddings,
+                           split, write_embeddings)
 
 from conftest import make_message
 
@@ -202,24 +202,6 @@ class TestRngStream:
         a = RngStream(42, 0).derive().uniform(size=100)
         b = RngStream(42, 1).derive().uniform(size=100)
         assert not np.array_equal(a, b)
-
-    def test_derived_states_are_those_of_derive(self):
-        # thousands of keys through the batched SeedSequence hash, then the
-        # keys numpy's own SeedSequence handles: words past 2**32, a
-        # different number of indices
-        keys = [(RngStream(seed, stream), (1, epoch, batch))
-                for seed in (0, 1, 7, 2**31, 2**32 - 1) for stream in (0, 3)
-                for epoch in (0, 1, 999) for batch in range(100)]
-        keys += [(RngStream(2**40), (1, 2, 3)), (RngStream(3), (2**33, 4)),
-                 (RngStream(3), ())]
-        states = derived_states(keys)
-        assert len(states) == 3003
-        for state, (stream, indices) in zip(states, keys):
-            assert state == stream.derive(*indices).bit_generator.state
-        gen = np.random.Generator(np.random.PCG64(0))
-        gen.bit_generator.state = states[123]
-        stream, indices = keys[123]
-        assert np.array_equal(gen.normal(size=50), stream.derive(*indices).normal(size=50))
 
     def test_derive_is_stable(self):
         a = RngStream(7).derive(3, 4).normal(size=8)
