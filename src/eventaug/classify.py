@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import struct
-import threading
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -161,7 +161,7 @@ def train_many(runs, num_classes: int | None = None) -> list[ClassifierModel]:
     share one draw, and a run on the same matrix, labels, rows and seed as
     the run before it takes that run's batch. When a batch's expected
     noise reaches ``HELPER_MIN_VALUES``, a helper thread shares the drawing
-    (``_DrawAhead``); the parameters are the same.
+    (``_Draws``); the parameters are the same.
     """
     runs = [_Run(*run) for run in runs]
     if not runs:
@@ -183,9 +183,7 @@ def train_many(runs, num_classes: int | None = None) -> list[ClassifierModel]:
         run.bias = np.zeros(num_classes)
 
     plan, slots = _plan(runs, batch_size)
-    ahead = any(pconf.alpha * rows * dim >= HELPER_MIN_VALUES
-                for _, pconf, _, rows in slots)
-    with (_DrawAhead if ahead else _Draws)(slots, epochs, dim) as draws:
+    with _Draws(slots, epochs, dim) as draws:
         for epoch in range(epochs):
             orders = []
             for run in runs:
@@ -251,17 +249,34 @@ class _Draws:
     """The distinct mixer draws of a training in the order it takes them:
     draw ``t`` is slot ``t % len(slots)`` of epoch ``t // len(slots)``, the
     values ``draw_mix`` takes from ``base.derive(1, epoch, batch)`` for a
-    slot ``(base, pconf, batch, rows)``. Each draw is made when taken;
-    :class:`_DrawAhead` shares the drawing with a helper thread."""
+    slot ``(base, pconf, batch, rows)``, so no value depends on the thread
+    that draws it.
+
+    When a slot's expected noise reaches ``HELPER_MIN_VALUES``, a one-worker
+    executor draws ahead of the caller, up to about ``_AHEAD_VALUES``
+    values; a draw the helper has not started is made by the caller, which
+    also makes the helper's next draws while it waits on a running one. An
+    error in the helper is raised from ``take`` with its own type; leaving
+    the context cancels what is queued and joins the helper."""
 
     def __init__(self, slots, epochs: int, dim: int):
         self._slots, self._dim = slots, dim
+        self._pool = None
+        if any(pconf.alpha * rows * dim >= HELPER_MIN_VALUES for _, pconf, _, rows in slots):
+            values = max(rows * (1 + pconf.alpha * dim) for _, pconf, _, rows in slots)
+            self._ahead = max(2, round(_AHEAD_VALUES / values))
+            self._total = epochs * len(slots)
+            self._futures = {}  # draw -> its Future, for draws t.._submitted - 1
+            self._submitted = 0
+            self._pool = ThreadPoolExecutor(max_workers=1,
+                                            thread_name_prefix="eventaug-mixer-draws")
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        pass
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
     def _draw(self, t: int):
         epoch, s = divmod(t, len(self._slots))
@@ -270,86 +285,23 @@ class _Draws:
 
     def take(self, t: int):
         """Draw ``t``; draws are taken in order."""
-        return self._draw(t)
-
-
-class _DrawAhead(_Draws):
-    """The draws of :class:`_Draws`, made by the caller and one helper
-    thread together; whichever thread claims draw ``t`` first makes it, so
-    no value depends on the thread. The helper claims draws in order, up to
-    about ``_AHEAD_VALUES`` values past the caller's; when the caller's draw
-    is not ready, the caller makes the next unclaimed one itself rather
-    than wait. An error in the helper is raised from ``take`` with its own
-    type; leaving the context stops and joins the helper."""
-
-    def __init__(self, slots, epochs: int, dim: int):
-        super().__init__(slots, epochs, dim)
-        self._total = epochs * len(slots)
-        values = max(rows * (1 + pconf.alpha * dim) for _, pconf, _, rows in slots)
-        self._ahead = max(2, round(_AHEAD_VALUES / values))
-        self._cond = threading.Condition()
-        self._ready = {}  # draw -> values, for draws up to _ahead past _using
-        self._claimed = 0  # draws 0.._claimed - 1 are made or being made
-        self._using = 0
-        self._error = None
-        self._stop = False
-        self._helper = threading.Thread(target=self._run, name="eventaug-mixer-draws")
-
-    def __enter__(self):
-        self._helper.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-        self._helper.join()
-
-    def _run(self):
-        try:
-            while True:
-                with self._cond:
-                    if self._claimed >= self._using + self._ahead:
-                        # window full: sleep until half of it is free
-                        self._cond.wait_for(self._half_free)
-                    if self._stop or self._claimed == self._total:
-                        return
-                    t = self._claimed
-                    self._claimed += 1
-                drawn = self._draw(t)
-                with self._cond:
-                    self._ready[t] = drawn
-                    self._cond.notify_all()
-        except BaseException as exc:  # noqa: BLE001 - re-raised by take()
-            with self._cond:
-                self._error = exc
-                self._cond.notify_all()
-
-    def _half_free(self) -> bool:
-        return self._stop or self._claimed <= self._using + self._ahead // 2
-
-    def take(self, t: int):
-        with self._cond:
-            self._using = t
-            if self._half_free():
-                self._cond.notify_all()
-        while True:
-            with self._cond:
-                while t not in self._ready:
-                    if self._error is not None:
-                        raise self._error
-                    if self._claimed < min(t + self._ahead, self._total):
-                        s = self._claimed  # t itself, or one the helper has not reached
-                        self._claimed += 1
-                        break
-                    self._cond.wait()
-                else:
-                    return self._ready.pop(t)
-            drawn = self._draw(s)
-            if s == t:
-                return drawn
-            with self._cond:
-                self._ready[s] = drawn
+        if self._pool is None:
+            return self._draw(t)
+        if self._submitted <= t + self._ahead // 2:  # top up once half is used
+            end = min(t + self._ahead, self._total)
+            for s in range(self._submitted, end):
+                self._futures[s] = self._pool.submit(self._draw, s)
+            self._submitted = end
+        future = self._futures.pop(t)
+        if future.cancel():  # the helper has not reached it
+            return self._draw(t)
+        for s in range(t + 1, self._submitted):  # the helper is busy: draw past it
+            if future.done():
+                break
+            if self._futures[s].cancel():
+                self._futures[s] = drawn = Future()
+                drawn.set_result(self._draw(s))
+        return future.result()
 
 
 def predict(model: ClassifierModel, emb) -> list[int]:

@@ -184,13 +184,11 @@ def render_scatter_svg(coords_before: np.ndarray, coords_after: np.ndarray,
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
 
     def dots(coords, color):
-        parts = []
-        for px, py in coords:
-            x = margin + (px - lo[0]) / span[0] * plot_w
-            y = margin + plot_h - (py - lo[1]) / span[1] * plot_h
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
-                         f'fill="{color}" fill-opacity="0.6"/>')
-        return "".join(parts)
+        xs = margin + (coords[:, 0] - lo[0]) / span[0] * plot_w
+        ys = margin + plot_h - (coords[:, 1] - lo[1]) / span[1] * plot_h
+        return "".join(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
+                       f'fill="{color}" fill-opacity="0.6"/>'
+                       for x, y in zip(xs.tolist(), ys.tolist()))
 
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
@@ -247,8 +245,8 @@ def export_plots(before, after, out_dir, bins: int = 100):
 
     lines = ["id,group,pc1,pc2"]
     for group, cs in (("before", coords_b), ("after", coords_a)):
-        for row_id, (p1, p2) in zip(ids, cs):
-            lines.append(f"{row_id},{group},{p1:.9g},{p2:.9g}")
+        lines += [f"{row_id},{group},{p1:.9g},{p2:.9g}"
+                  for row_id, (p1, p2) in zip(ids, cs.tolist())]
     emit("pca.csv", "\n".join(lines) + "\n")
 
     emit("moments.csv",

@@ -124,15 +124,15 @@ def frequency_mask(dim: int, keep_ratio: float, mode: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _kept_bins(dim: int, keep_ratio: float, mode: str) -> np.ndarray:
-    """Read-only boolean keep-mask over FDP's dim // 2 + 1 half-spectrum
-    bins; cached, since drawing and applying every batch of a run ask for
-    the same mask."""
+def _kept_bins(dim: int, keep_ratio: float, mode: str) -> slice:
+    """FDP's kept half-spectrum bins, which are always one run of the
+    dim // 2 + 1 bins: a prefix for ``low``, a suffix for ``high`` and
+    their intersection for ``band``. Cached, since drawing and applying
+    every batch of a run ask for the same bins."""
     if dim < 2:
         raise ValueError(f"vector length must be >= 2, got {dim}")
-    keep = frequency_mask(dim, keep_ratio, mode)[:dim // 2 + 1]
-    keep.flags.writeable = False
-    return keep
+    kept = np.flatnonzero(frequency_mask(dim, keep_ratio, mode)[:dim // 2 + 1])
+    return slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0)
 
 
 def _draw_noise(config: PerturbationConfig, shape,
@@ -154,11 +154,14 @@ def _draw_noise(config: PerturbationConfig, shape,
     if rng is None:
         raise ValueError("rng required when eta and sigma are nonzero")
     dim = shape[-1]
-    kept = np.flatnonzero(_kept_bins(dim, config.keep_ratio, config.fdp_mode))
-    size = tuple(shape[:-1]) + (kept.size,)
+    kept = _kept_bins(dim, config.keep_ratio, config.fdp_mode)
+    size = tuple(shape[:-1]) + (kept.stop - kept.start,)
     real = rng.normal(0.0, config.sigma, size=size)
     imag = rng.normal(0.0, config.sigma, size=size)
-    imag[..., (kept == 0) | (2 * kept == dim)] = 0.0
+    if kept.start == 0 < kept.stop:
+        imag[..., 0] = 0.0
+    if 2 * (kept.stop - 1) == dim:
+        imag[..., -1] = 0.0
     return real, imag
 
 
@@ -180,12 +183,14 @@ def _add_noise(g: np.ndarray, config: PerturbationConfig, std: np.ndarray | None
     if method == "CGP":
         return g + np.clip(noise[0], -config.clip_c, config.clip_c)
     dim = g.shape[-1]
-    keep = _kept_bins(dim, config.keep_ratio, config.fdp_mode)
+    kept = _kept_bins(dim, config.keep_ratio, config.fdp_mode)
     spectrum = np.fft.rfft(g, axis=-1)
-    spectrum[..., ~keep] = 0.0
+    spectrum[..., :kept.start] = 0.0
+    spectrum[..., kept.stop:] = 0.0
     if noise:
         real, imag = noise
-        spectrum[..., keep] += (real + 1j * imag) * config.noise_level
+        spectrum.real[..., kept] += real * config.noise_level
+        spectrum.imag[..., kept] += imag * config.noise_level
     return np.fft.irfft(spectrum, n=dim, axis=-1)
 
 

@@ -30,8 +30,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -243,6 +241,9 @@ class HttpProvider:
         token = os.environ.get(self.config.auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
+        import urllib.error  # here, not at the top: every other command skips its import cost
+        import urllib.request
+
         last_error = None
         delay = None
         for attempt in range(self.config.max_retries):

@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from eventaug.perturb import (METHODS, PerturbationConfig, dataset_std, draw_mix,
-                              frequency_mask, mix_rows, perturb)
+from eventaug.perturb import (METHODS, PerturbationConfig, _kept_bins, dataset_std,
+                              draw_mix, frequency_mask, mix_rows, perturb)
 
 from test_acceptance import oracle_mask
 
@@ -202,6 +202,21 @@ class TestFrequencyMask:
                     assert np.array_equal(frequency_mask(dim, ratio, mode),
                                           oracle_mask(dim, ratio, mode)), \
                         (dim, ratio, mode)
+
+    def test_half_spectrum_bins_form_one_run(self):
+        # FDP's noise goes on a slice of the rfft bins: a prefix for low, a
+        # suffix for high, one inner run for band
+        for dim in range(2, 66):
+            half = dim // 2 + 1
+            for ratio in (0.01, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.95, 0.98, 1.0):
+                for mode in ("low", "high", "band"):
+                    kept = np.flatnonzero(frequency_mask(dim, ratio, mode)[:half])
+                    run = _kept_bins(dim, ratio, mode)
+                    assert kept.tolist() == list(range(half))[run], (dim, ratio, mode)
+                    if mode == "low" and kept.size:
+                        assert run.start == 0
+                    if mode == "high" and kept.size:
+                        assert run.stop == half
 
     def test_covers_at_least_target(self):
         for dim in (8, 16, 33, 100):

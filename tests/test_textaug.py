@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -7,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import eventaug
 from eventaug.ingest import Corpus, write_corpus
 from eventaug.textaug import (DEFAULT_STRATEGIES, STRATEGIES, AugmentationRecord,
                               DropEntityProvider, EchoProvider, HttpProvider,
@@ -519,6 +522,15 @@ def http_endpoint():
 
 
 class TestHttpProvider:
+    def test_cli_import_leaves_urllib_unloaded(self):
+        # only HttpProvider.complete needs urllib.request (and with it
+        # http.client and email), so the CLI does not import it
+        src = os.path.dirname(os.path.dirname(eventaug.__file__))
+        probe = "import sys, eventaug.cli; print('urllib.request' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
     def test_payload_carries_default_token_limit(self):
         provider = HttpProvider(ProviderConfig(endpoint="http://example.invalid"))
         payload = provider.build_payload("hi")
