@@ -266,7 +266,7 @@ class _Draws:
             values = max(rows * (1 + pconf.alpha * dim) for _, pconf, _, rows in slots)
             self._ahead = max(2, round(_AHEAD_VALUES / values))
             self._total = epochs * len(slots)
-            self._futures = {}  # draw -> its Future, for draws t.._submitted - 1
+            self._futures = {}  # draw -> its Future, for the submitted draws not yet taken
             self._submitted = 0
             self._pool = ThreadPoolExecutor(max_workers=1,
                                             thread_name_prefix="eventaug-mixer-draws")
