@@ -34,7 +34,6 @@ with tempfile.TemporaryDirectory(prefix="eventaug-demo-") as tmp:
           f"bitwise equal = {np.array_equal(back.values, emb.values)}")
 
     spec = SplitSpec(train_ratio=0.7, val_ratio=0.1, test_ratio=0.2, seed=42)
-    train_ids, val_ids, test_ids = split(corpus.ids(),
-                                         [m.label for m in corpus.messages], spec)
+    train_ids, val_ids, test_ids = split(corpus.ids(), spec)
     print(f"split sizes: train={len(train_ids)} val={len(val_ids)} "
           f"test={len(test_ids)}")

@@ -160,7 +160,7 @@ def _resolve(args) -> RunConfig:
     try:
         file_values = read_config_file(config_path) if config_path else {}
         return resolve_config(file_values=file_values, overrides=overrides)
-    except (ValueError, TypeError, configparser.Error) as exc:
+    except (OSError, ValueError, TypeError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -198,8 +198,7 @@ def _split_rows(corpus, spec):
                if m.is_original and m.label is not None]
     if not labeled:
         raise DegenerateDataError("corpus has no labeled original messages")
-    train_rows, val_rows, test_rows = split(
-        labeled, [corpus.messages[i].label for i in labeled], spec)
+    train_rows, val_rows, test_rows = split(labeled, spec)
     train_set = {corpus.messages[i].id for i in train_rows}
     extra = [i for i, m in enumerate(corpus.messages)
              if m.origin is not None and m.label is not None

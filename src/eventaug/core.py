@@ -171,18 +171,14 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def split(ids, labels, spec: SplitSpec):
+def split(ids, spec: SplitSpec):
     """Partition ids into (train, val, test) lists.
 
     Deterministic shuffle by ``spec.seed``, then a contiguous partition with
     sizes floor(n * ratio); remainder rows go to train (maximizes training
-    data, deterministic). Labels are only checked for alignment; the split
-    is not stratified.
+    data, deterministic). The split is not stratified.
     """
     ids = list(ids)
-    labels = list(labels)
-    if len(ids) != len(labels):
-        raise ValueError(f"{len(ids)} ids but {len(labels)} labels")
     n = len(ids)
     # floor of the mathematical product; the epsilon guards against cases
     # like 100 * 0.29 = 28.999999999999996

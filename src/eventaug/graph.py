@@ -144,17 +144,6 @@ def neighborhood(graph: HeteroGraph, message_id: str):
     return user_linked, sorted(entity_linked)
 
 
-def _segment_sums(values: np.ndarray, segment: np.ndarray,
-                  num_segments: int) -> np.ndarray:
-    """Row sums of ``values`` per segment; ``segment`` is sorted and holds
-    the segment id of each row. Empty segments sum to zero."""
-    out = np.zeros((num_segments, values.shape[1]))
-    if segment.size:
-        starts = np.flatnonzero(np.diff(segment, prepend=-1))
-        out[segment[starts]] = np.add.reduceat(values, starts, axis=0)
-    return out
-
-
 def _dense_ids(keys) -> np.ndarray:
     """Group id per key, numbered in order of first appearance."""
     index: dict = {}
@@ -163,16 +152,21 @@ def _dense_ids(keys) -> np.ndarray:
 
 
 class _Groups:
-    """Messages partitioned by a dense group id, sorted once. The per-group
-    row sums gather and ``np.add.reduceat`` one block of whole groups at a
-    time: a block starts at a group start and ends at the first group start
-    after about ``_BLOCK`` rows, so every group is reduced over the same
-    rows in the same order as from one full gather."""
+    """Rows partitioned by a dense group id, sorted once. Partition row
+    ``i`` is row ``rows[i]`` of the summed matrix (row ``i`` without
+    ``rows``), and there are max(``size``, largest id + 1) groups. The
+    per-group row sums gather and ``np.add.reduceat`` one block of whole
+    groups at a time: a block starts at a group start and ends at the first
+    group start after about ``_BLOCK`` rows, so every group is reduced over
+    the same rows in the same order as from one full gather. Empty groups
+    sum to zero."""
 
-    def __init__(self, ids: np.ndarray):
-        self.order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[self.order]
-        self.counts = np.bincount(ids)
+    def __init__(self, ids: np.ndarray, rows: np.ndarray | None = None,
+                 size: int = 0):
+        order = np.argsort(ids, kind="stable")
+        self.rows = order if rows is None else rows[order]
+        sorted_ids = ids[order]
+        self.counts = np.bincount(ids, minlength=size)
         starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
         self.group_at = sorted_ids[starts]
         self.bounds = np.append(starts, ids.size)
@@ -186,7 +180,7 @@ class _Groups:
         for a, b in zip(self.blocks[:-1], self.blocks[1:]):
             lo = self.bounds[a]
             out[self.group_at[a:b]] = np.add.reduceat(
-                x[self.order[lo:self.bounds[b]]], self.bounds[a:b] - lo, axis=0)
+                x[self.rows[lo:self.bounds[b]]], self.bounds[a:b] - lo, axis=0)
         return out
 
 
@@ -220,21 +214,18 @@ class _EntityReach:
 
     def __init__(self, entity_sets):
         self.num_groups = len(entity_sets)
-        entity_ids: dict[str, int] = {}
         self.group = np.repeat(np.arange(self.num_groups),
                                [len(keys) for keys in entity_sets])
-        self.entity = np.array([entity_ids.setdefault(k, len(entity_ids))
-                                for keys in entity_sets for k in keys],
-                               dtype=np.intp)
-        self.num_entities = len(entity_ids)
-        by_entity = np.argsort(self.entity, kind="stable")
-        self.entity_sorted = self.entity[by_entity]
-        self.group_by_entity = self.group[by_entity]
+        self.entity = _dense_ids(k for keys in entity_sets for k in keys)
+        self.per_entity = _Groups(self.entity, rows=self.group)
+        num_entities = self.per_entity.counts.size
+        self.per_group = _Groups(self.group, rows=self.entity,
+                                 size=self.num_groups)
 
         i, j = _pairs_within(self.group, strict=True)
         lo = np.minimum(self.entity[i], self.entity[j])
         hi = np.maximum(self.entity[i], self.entity[j])
-        _, pair = np.unique(lo * self.num_entities + hi, return_inverse=True)
+        _, pair = np.unique(lo * num_entities + hi, return_inverse=True)
         by_pair = np.argsort(pair, kind="stable")
         pair_group = self.group[i][by_pair]
         a, b = _pairs_within(pair[by_pair], strict=False)
@@ -243,13 +234,12 @@ class _EntityReach:
         extra = (np.rint(np.sqrt(8 * shared_pairs + 1)).astype(np.intp) - 1) // 2
         self.extra_group, self.extra_partner = np.divmod(
             np.repeat(codes, extra), max(self.num_groups, 1))
+        self.extra = _Groups(self.extra_group, rows=self.extra_partner,
+                             size=self.num_groups)
 
     def sums(self, values: np.ndarray) -> np.ndarray:
-        per_entity = _segment_sums(values[self.group_by_entity],
-                                   self.entity_sorted, self.num_entities)
-        out = _segment_sums(per_entity[self.entity], self.group, self.num_groups)
-        out -= _segment_sums(values[self.extra_partner], self.extra_group,
-                             self.num_groups)
+        out = self.per_group.sums(self.per_entity.sums(values))
+        out -= self.extra.sums(values)
         return out
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,18 +52,17 @@ def _invariant_problems(messages, where) -> list[str]:
 class Corpus:
     """Immutable snapshot of messages. num_classes is 1 + the largest label.
 
-    A breached invariant is reported at ``where(i)`` for message ``i``,
-    ``position i + 1`` unless given (the parser gives line numbers).
+    A breached invariant is reported at ``position i + 1`` for message
+    ``i`` (the parser reports line numbers instead).
     """
 
     messages: tuple[Message, ...]
-    where: InitVar[Callable[[int], str] | None] = None
 
-    def __post_init__(self, where):
+    def __post_init__(self):
         if not isinstance(self.messages, tuple):
             object.__setattr__(self, "messages", tuple(self.messages))
         problems = _invariant_problems(self.messages,
-                                       where or (lambda i: f"position {i + 1}"))
+                                       lambda i: f"position {i + 1}")
         if problems:
             raise CorpusError(problems)
 
@@ -193,9 +191,9 @@ def _parse_lines(numbered_lines, problems) -> Corpus:
         messages.append(msg)
         lines.append(line_no)
     try:
-        corpus = Corpus(tuple(messages), where=lambda i: f"line {lines[i]}")
-    except CorpusError as exc:
-        problems += exc.problems
+        corpus = Corpus(tuple(messages))
+    except CorpusError:
+        problems += _invariant_problems(messages, lambda i: f"line {lines[i]}")
     if problems:
         raise CorpusError(problems)
     return corpus

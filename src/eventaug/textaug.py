@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import threading
@@ -59,6 +60,11 @@ class ProviderConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be >= 1")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be finite and >= 0, "
+                             f"got {self.temperature}")
 
 
 @dataclass(frozen=True)

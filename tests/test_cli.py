@@ -143,8 +143,7 @@ class TestAugmentText:
                      "--strategy", "paraphrase", "--train-only", "--seed", "3",
                      "--out", str(tmp_path / "run")]) == 0
         labeled = [m for m in messages if m.label is not None]
-        train_ids, _, _ = split([m.id for m in labeled], [m.label for m in labeled],
-                                SplitSpec(seed=3))
+        train_ids, _, _ = split([m.id for m in labeled], SplitSpec(seed=3))
         augmented = parse_corpus(tmp_path / "run" / "augmented.jsonl")
         sources = [m.origin.source_id for m in augmented.messages
                    if m.origin is not None]
@@ -391,7 +390,15 @@ class TestResolvedConfig:
         "epochs = 10\n",
         "[explicit]\nendpoint = http://localhost:1/v1?q=100%\n",
         "[train]\nepochs = ten\n",
-    ], ids=["unknown-key", "no-section-header", "bare-percent", "bad-int"])
+        "[train]\nlearning_rate = nan\n",
+        "[train]\nlearning_rate = inf\n",
+        "[explicit]\nmax_retries = 0\n",
+        "[explicit]\ntemperature = nan\n",
+        "[explicit]\ntemperature = inf\n",
+        "[explicit]\ntemperature = -0.5\n",
+    ], ids=["unknown-key", "no-section-header", "bare-percent", "bad-int",
+            "lr-nan", "lr-inf", "no-retries", "temperature-nan",
+            "temperature-inf", "temperature-negative"])
     def test_bad_config_file_is_config_error(self, tmp_path, capsys, ini_text):
         corpus_path, fused_path = write_train_fixture(tmp_path)
         ini = tmp_path / "run.ini"
@@ -400,6 +407,24 @@ class TestResolvedConfig:
                    "--fused", fused_path, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_lr_flag_is_config_error(self, tmp_path, capsys):
+        corpus_path, fused_path = write_train_fixture(tmp_path)
+        rc = main(["train", "--corpus", corpus_path, "--fused", fused_path,
+                   "--lr", "nan", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_directory_is_config_error(self, tmp_path, capsys):
+        fused = tmp_path / "fused.sedemb"
+        write_embeddings(EmbeddingMatrix(["a"], [[1.0]]), fused)
+        rc = main(["diagnose", "--config", str(tmp_path), "--fused", str(fused),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEval:

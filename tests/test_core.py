@@ -157,24 +157,24 @@ class TestAtomicWrite:
 class TestSplit:
     def test_exact_sizes_n10(self):
         spec = SplitSpec(0.7, 0.1, 0.2, seed=3)
-        train, val, test = split(list(range(10)), [0] * 10, spec)
+        train, val, test = split(list(range(10)), spec)
         assert (len(train), len(val), len(test)) == (7, 1, 2)
 
     def test_remainder_goes_to_train_n9(self):
         # floor gives (6, 0, 1); the 2 leftover rows join train
         spec = SplitSpec(0.7, 0.1, 0.2, seed=3)
-        train, val, test = split(list(range(9)), [0] * 9, spec)
+        train, val, test = split(list(range(9)), spec)
         assert (len(train), len(val), len(test)) == (8, 0, 1)
 
     def test_same_seed_same_partition(self):
         spec = SplitSpec(seed=11)
         ids = [f"m{i}" for i in range(50)]
-        assert split(ids, [0] * 50, spec) == split(ids, [0] * 50, spec)
+        assert split(ids, spec) == split(ids, spec)
 
     def test_partition_properties(self):
         for n in range(3, 61):
             ids = [f"m{i}" for i in range(n)]
-            train, val, test = split(ids, [0] * n, SplitSpec(seed=n))
+            train, val, test = split(ids, SplitSpec(seed=n))
             parts = train + val + test
             assert sorted(parts) == sorted(ids)
             assert len(set(parts)) == n
@@ -186,10 +186,6 @@ class TestSplit:
             SplitSpec(0.5, 0.1, 0.2)
         with pytest.raises(ValueError):
             SplitSpec(0.0, 0.5, 0.5)
-
-    def test_misaligned_labels_rejected(self):
-        with pytest.raises(ValueError):
-            split(["a", "b"], [0], SplitSpec())
 
 
 class TestRngStream:

@@ -84,13 +84,19 @@ def random_fusion_case(seed):
     return Corpus(messages=tuple(messages)), values
 
 
-def block_crossing_case(seed, n, dim):
+HUB_POOL = ("Storm", "Flood", "Sydney", "Fire", "Road", "Hub", "hub")
+# Enough entities that the distinct entity sets give more than a block of
+# incidence rows, and many of them share two or more entities.
+WIDE_POOL = tuple(f"E{k}" for k in range(40))
+
+
+def block_crossing_case(seed, n, dim, pool=HUB_POOL):
     """Seeded corpus several fusion blocks long: one author and one
     entity set each hold more than a block of messages, a fifth of the
-    messages mention no entity and the rest spread over small groups that
-    straddle block cuts; returns (corpus, float32 embedding values)."""
+    messages mention no entity and the rest spread over small groups of
+    one to three ``pool`` entities that straddle block cuts; returns
+    (corpus, float32 embedding values)."""
     rng = np.random.default_rng(seed)
-    pool = ["Storm", "Flood", "Sydney", "Fire", "Road", "Hub", "hub"]
     messages = []
     for i in range(n):
         r = rng.random()
@@ -111,13 +117,24 @@ def block_crossing_case(seed, n, dim):
 def whole_matrix_reference(graph, ids, x, params):
     """The fusion formula without blocks: each layer gathers all rows in
     group order for one ``np.add.reduceat``, then combines every row at
-    once."""
-    def group_sums(group_of, values):
+    once. The reach sums go through ``_EntityReach``'s incidence and extra
+    pairs the same way, by entity, then by group, minus the extra pairs."""
+    def group_sums(group_of, values, size=0):
         order = np.argsort(group_of, kind="stable")
         sorted_ids = group_of[order]
         starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-        out = np.zeros((sorted_ids.max() + 1, values.shape[1]))
-        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts, axis=0)
+        out = np.zeros((max(size, sorted_ids.max(initial=-1) + 1),
+                        values.shape[1]))
+        if starts.size:
+            out[sorted_ids[starts]] = np.add.reduceat(values[order], starts,
+                                                      axis=0)
+        return out
+
+    def reach_sums(values):
+        per_entity = group_sums(reach.entity, values[reach.group])
+        out = group_sums(reach.group, per_entity[reach.entity], reach.num_groups)
+        out -= group_sums(reach.extra_group, values[reach.extra_partner],
+                          reach.num_groups)
         return out
 
     def neighbor_mean(sums, group_of, size, rows, weight):
@@ -130,12 +147,12 @@ def whole_matrix_reference(graph, ids, x, params):
     reach = graphmod._EntityReach(list(dict.fromkeys(keys)))
     user_size = np.bincount(user_of)[user_of] - 1
     set_counts = np.bincount(set_of)[:, None].astype(np.float64)
-    entity_size = reach.sums(set_counts)[:, 0].astype(np.intp)[set_of] - 1
+    entity_size = reach_sums(set_counts)[:, 0].astype(np.intp)[set_of] - 1
     for _ in range(params.layers):
         out = params.w_self * x
         out += neighbor_mean(group_sums(user_of, x), user_of, user_size, x,
                              params.w_user)
-        out += neighbor_mean(reach.sums(group_sums(set_of, x)), set_of,
+        out += neighbor_mean(reach_sums(group_sums(set_of, x)), set_of,
                              entity_size, x, params.w_entity)
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         np.divide(out, norms, out=out, where=norms > 0)
@@ -245,16 +262,23 @@ class TestFuse:
         rows = _fused_rows(build_graph(corpus), corpus.ids(), x, params)
         assert np.abs(rows - oracle_fuse(corpus, values, params)).max() < 1e-12
 
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_blocks_bitwise_equal_to_whole_matrix(self, layers):
-        corpus, values = block_crossing_case(5, n=5_000, dim=5)
+    @pytest.mark.parametrize("layers, pool", [
+        (1, HUB_POOL), (2, HUB_POOL), (3, HUB_POOL),
+        (1, WIDE_POOL), (2, WIDE_POOL), (3, WIDE_POOL),
+    ], ids=["1", "2", "3", "wide-1", "wide-2", "wide-3"])
+    def test_blocks_bitwise_equal_to_whole_matrix(self, layers, pool):
+        corpus, values = block_crossing_case(5, n=5_000, dim=5, pool=pool)
         ids, graph = corpus.ids(), build_graph(corpus)
         x = np.concatenate([values.astype(np.float64),
                             temporal_features(corpus)], axis=1)
-        sizes = [np.bincount(graphmod._dense_ids(keys)).max() for keys in (
-            (graph.message_user[m] for m in ids),
-            (tuple(sorted(graph.message_entities[m])) for m in ids))]
+        keys = [tuple(sorted(graph.message_entities[m])) for m in ids]
+        sizes = [np.bincount(graphmod._dense_ids(k)).max() for k in (
+            (graph.message_user[m] for m in ids), keys)]
         assert len(ids) > 2 * graphmod._BLOCK and min(sizes) > graphmod._BLOCK
+        if pool is WIDE_POOL:
+            reach = graphmod._EntityReach(list(dict.fromkeys(keys)))
+            assert reach.group.size > graphmod._BLOCK
+            assert reach.extra_group.size > graphmod._BLOCK
         params = FusionParams(w_self=0.9, w_user=0.6, w_entity=0.4, layers=layers)
         expected = whole_matrix_reference(graph, ids, x.copy(), params)
         rows = _fused_rows(graph, ids, x, params)
