@@ -21,7 +21,7 @@ from .core import (MODEL_MAGIC, BadMagicError, EmbeddingFormatError,
                    NonFinitePayloadError, RngStream, TruncatedPayloadError,
                    atomic_write)
 from .metrics import EvalReport, evaluate
-from .perturb import PerturbationConfig, dataset_std, draw_mix, mix_rows
+from .perturb import PerturbationConfig, _column_std, draw_mix, mix_rows
 
 _U32 = struct.Struct("<I")
 
@@ -106,7 +106,7 @@ def train(fused_train, labels, config: TrainConfig,
 
     When ``config.perturbation`` is set, each batch passes through the
     probabilistic mixer before the forward pass. IDGP's per-dimension std
-    is computed once from the full training matrix.
+    is computed once from the full training matrix, in row blocks.
     Shuffle order and mixer noise derive from ``config.seed``, so equal
     seeds give bitwise-equal parameters. This is the one-run case of
     :func:`train_many`.
@@ -136,7 +136,7 @@ class _Run:
         self.mixing = pconf is not None and pconf.alpha > 0.0
         self.std = None
         if pconf is not None and pconf.method == "IDGP":
-            self.std = dataset_std(self.x if self.rows is None else self.x[self.rows])
+            self.std = _column_std(self.x, self.rows)
         self.base = RngStream(config.seed)
         self.losses = []
         self.same_batches = False  # as the run before it: same rows, labels, seed

@@ -32,6 +32,7 @@ import numpy as np
 
 METHODS = ("GP", "PGP", "IDGP", "CGP", "FDP")
 FDP_MODES = ("high", "low", "band")
+_BLOCK = 1 << 16  # values that dataset_std converts and sums at a time
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,49 @@ class PerturbationConfig:
 def dataset_std(matrix) -> np.ndarray:
     """Population standard deviation per dimension (divide by n), in float64.
 
-    Computed once over the training-split fused embeddings, never per batch.
+    Computed once over the training-split fused embeddings, never per batch,
+    in row blocks (:func:`_column_std`), so no full-size float64 temporary
+    is made.
     """
-    values = np.asarray(matrix, dtype=np.float64)
+    values = np.asarray(matrix)
     if values.ndim != 2 or values.shape[0] < 1:
         raise ValueError("need a non-empty 2-D matrix")
-    return values.std(axis=0, ddof=0)
+    return _column_std(values)
+
+
+def _column_std(x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """:func:`dataset_std` of ``x[rows]`` (of ``x`` without ``rows``),
+    bitwise equal to ``np.asarray(x[rows], np.float64).std(axis=0)`` of a
+    C-ordered ``x``.
+
+    numpy sums axis 0 of such a matrix row by row, so each block of about
+    ``_BLOCK`` values is converted into one reused float64 buffer behind
+    the running column total, and summing the buffer carries that total
+    through the block's rows in the same order: first the column sums for
+    the mean, then the squared deviations. A single column is one block,
+    since numpy sums a contiguous column pairwise."""
+    n, dim = x.shape[0] if rows is None else rows.size, x.shape[1]
+    step = n if dim == 1 else max(1, _BLOCK // dim)
+    buf = np.empty((min(step, n) + 1, dim))
+
+    def column_sums(mean):
+        total = None
+        for lo in range(0, n, step):
+            block = x[lo:lo + step] if rows is None else x[rows[lo:lo + step]]
+            k = block.shape[0]
+            buf[1:k + 1] = block
+            if mean is not None:
+                np.subtract(buf[1:k + 1], mean, out=buf[1:k + 1])
+                np.multiply(buf[1:k + 1], buf[1:k + 1], out=buf[1:k + 1])
+            if total is None:
+                total = np.add.reduce(buf[1:k + 1], axis=0)
+            else:
+                buf[0] = total
+                total = np.add.reduce(buf[:k + 1], axis=0)
+        return total
+
+    mean = column_sums(None) / n
+    return np.sqrt(column_sums(mean) / n)
 
 
 def frequency_mask(dim: int, keep_ratio: float, mode: str) -> np.ndarray:

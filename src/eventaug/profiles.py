@@ -144,6 +144,10 @@ def resolve_config(profile: str | None = None, file_values: dict | None = None,
     profile = profile or run_vals.get("profile") or "custom"
     perturbation = replace(profile_perturbation(profile), **merged("implicit"))
     seed = int(run_vals.get("seed", 0))
+    split = {"seed": seed, **merged("split")}
+    for name, value in (("seed", seed), ("[split] seed", split["seed"])):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     explicit = merged("explicit")
     strategies = explicit.pop("strategies", None)
     if isinstance(strategies, str):
@@ -154,7 +158,7 @@ def resolve_config(profile: str | None = None, file_values: dict | None = None,
     cache_dir = explicit.pop("cache_dir", None)
     return RunConfig(
         profile=profile, seed=seed, out_dir=run_vals.get("out", "out"),
-        split=SplitSpec(**{"seed": seed, **merged("split")}),
+        split=SplitSpec(**split),
         perturbation=perturbation,
         train=TrainConfig(**{**merged("train"), "seed": seed,
                              "perturbation": perturbation}),

@@ -41,3 +41,25 @@ def graph_embeddings(graph_corpus):
 def random_embeddings(rng, n, dim, ids=None):
     ids = ids or [f"r{i}" for i in range(n)]
     return EmbeddingMatrix(ids, rng.normal(size=(n, dim)).astype(np.float32))
+
+
+# characters that a line-based or escaping writer could get wrong
+_ALPHABET = list("abcXYZ019 #@.,'\"\\/{}[]:\t\n\r") + [
+    "é", "ش", "事", "\U0001f525", " ", " ", "\u0085", "\x00"]
+
+
+def random_text(rng, low=1, high=24):
+    """Seeded text of low to high - 1 characters, with an "x" put in front
+    of one that would be blank."""
+    text = "".join(rng.choice(_ALPHABET, size=int(rng.integers(low, high))))
+    return text if text.strip() else "x" + text
+
+
+def random_float32(rng, n, dim):
+    """float32 values of every kind a file must keep: zeros of both signs,
+    subnormals, extremes and ordinary values of any scale."""
+    special = np.array([0.0, -0.0, 1e-45, -1e-45, 3.4e38, -3.4e38, 1.0], dtype=np.float32)
+    values = rng.normal(scale=10.0 ** rng.integers(-6, 6), size=(n, dim)).astype(np.float32)
+    mask = rng.random(size=(n, dim)) < 0.2
+    values[mask] = rng.choice(special, size=int(mask.sum()))
+    return values

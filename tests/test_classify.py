@@ -18,7 +18,9 @@ from eventaug.classify import (DegenerateDataError, TrainConfig,
 from eventaug.classify import ClassifierModel
 from eventaug.core import (BadMagicError, EmbeddingFormatError,
                            NonFinitePayloadError, TruncatedPayloadError)
-from eventaug.perturb import METHODS, PerturbationConfig
+from eventaug.perturb import METHODS, PerturbationConfig, dataset_std
+
+from conftest import random_float32, random_text
 
 
 def separable_blobs(seed=0, n_per_class=40, gap=6.0):
@@ -129,6 +131,23 @@ class TestTrain:
         assert np.isfinite(model.weights).all()
 
 
+    def test_idgp_std_takes_no_full_size_temporary(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(3.0, 1.0, size=(4000, 256))
+        y = np.arange(4000) % 3
+        config = TrainConfig(epochs=1, seed=2,
+                             perturbation=PerturbationConfig("IDGP", alpha=0.3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train(x, y, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # x - mean alone would be x.nbytes
+        assert peak <= 0.5 * x.nbytes
+
+
 class TestPredict:
     def test_zero_model_predicts_class_zero(self):
         model = ClassifierModel(weights=np.zeros((3, 4)), bias=np.zeros(3))
@@ -172,6 +191,24 @@ class TestModelFile:
         assert back.metadata["seed"] == 4
         assert path.read_bytes()[:8] == b"SEDMDL01"
 
+    def test_round_trip_bitwise(self, tmp_path):
+        rng = np.random.default_rng(23)
+        path, again = tmp_path / "m.sedmdl", tmp_path / "again.sedmdl"
+        for trial in range(40):
+            classes, dim = int(rng.integers(1, 7)), int(rng.integers(1, 20))
+            params = random_float32(rng, classes, dim + 1).astype(np.float64)
+            metadata = {"seed": trial, "note": random_text(rng),
+                        "ratios": rng.random(size=int(rng.integers(0, 4))).tolist()}
+            model = ClassifierModel(weights=params[:, :dim], bias=params[:, dim],
+                                    metadata=metadata)
+            save_model(model, path)
+            back = load_model(path)
+            assert back.weights.tobytes() == np.ascontiguousarray(model.weights).tobytes()
+            assert back.bias.tobytes() == np.ascontiguousarray(model.bias).tobytes()
+            assert back.metadata == metadata
+            save_model(back, again)
+            assert again.read_bytes() == path.read_bytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.sedmdl"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 64)
@@ -186,9 +223,10 @@ class TestModelFile:
         path = tmp_path / "m.sedmdl"
         save_model(model, path)
         blob = path.read_bytes()
-        for cut in range(len(blob)):
+        for cut in range(len(blob)):  # no magic inside the 16-byte header
             path.write_bytes(blob[:cut])
-            with pytest.raises((BadMagicError, TruncatedPayloadError)):
+            with pytest.raises(BadMagicError if cut < 16 else TruncatedPayloadError,
+                               match=str(path)):
                 load_model(path)
         path.write_bytes(blob + b"junk")
         with pytest.raises(TruncatedPayloadError):
@@ -316,6 +354,15 @@ class TestRatioStudy:
         # What is held besides: index arrays, batches and the helper
         # thread's draws ahead.
         assert peak < 0.35 * x.nbytes
+
+    def test_arm_idgp_std_equals_gathered_rows(self):
+        x, y = mixer_fixture(770, n=400)
+        x = x + 1e3  # a large mean, where a differently summed std would differ
+        config = mixer_config("IDGP")
+        for key, ratio in enumerate([0.1, 0.3, 0.7, 1.0]):
+            rows = subsample_indices(x.shape[0], ratio, config.seed, key)
+            std = classify._Run(x, y, config, rows).std
+            assert std.tobytes() == dataset_std(x[rows]).tobytes(), ratio
 
     # sha256 of ratio_study.csv on the mixer fixture, from the trainer that
     # trained each arm alone and held each subsample's rows as a copy

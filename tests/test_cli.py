@@ -539,3 +539,22 @@ class TestFlagRanges:
                           "--bins", "0"]) == 2
         assert "--bins" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,seed_args", [
+        ("train", ["--seed", "-1"]),
+        ("diagnose", ["--seed", "-3"]),
+        ("train", "[split]\nseed = -5\n"),
+    ], ids=["train-flag", "diagnose-flag", "split-file"])
+    def test_negative_seed(self, tmp_path, capsys, command, seed_args):
+        corpus_path, fused_path = write_train_fixture(tmp_path)
+        if isinstance(seed_args, str):
+            ini = tmp_path / "run.ini"
+            ini.write_text(seed_args)
+            seed_args = ["--config", str(ini)]
+        out = tmp_path / "run"
+        argv = [command, "--fused", fused_path, "--out", str(out), *seed_args]
+        if command == "train":
+            argv += ["--corpus", corpus_path, "--epochs", "2"]
+        assert exit_code(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()

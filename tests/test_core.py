@@ -9,7 +9,7 @@ from eventaug.core import (BadMagicError, EmbeddingFormatError, EmbeddingMatrix,
                            TruncatedPayloadError, atomic_write, read_embeddings,
                            split, write_embeddings)
 
-from conftest import make_message
+from conftest import make_message, random_float32, random_text
 
 
 class TestEmbeddingMatrix:
@@ -54,16 +54,19 @@ class TestEmbeddingFile:
 
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(7)
-        for trial in range(20):
+        again = tmp_path / "again.sedemb"
+        for trial in range(40):
             n = int(rng.integers(0, 12))
             dim = int(rng.integers(1, 40))
-            values = rng.normal(size=(n, dim)).astype(np.float32)
-            m = EmbeddingMatrix([f"id-{trial}-{i}" for i in range(n)], values)
+            ids = [f"id-{trial}-{i}-{random_text(rng, 0, 6)}" for i in range(n)]
+            m = EmbeddingMatrix(ids, random_float32(rng, n, dim))
             path = tmp_path / f"t{trial}.sedemb"
             write_embeddings(m, path)
             back = read_embeddings(path)
-            assert back.ids == m.ids
+            assert back.ids == m.ids and back.dim == dim
             assert back.values.tobytes() == m.values.tobytes()
+            write_embeddings(back, again)
+            assert again.read_bytes() == path.read_bytes()
 
     def test_bad_magic_names_expected(self, tmp_path):
         path = tmp_path / "bad.sedemb"
@@ -102,8 +105,9 @@ class TestEmbeddingFile:
 
         def rejected(blob):
             path.write_bytes(bytes(blob))
-            with pytest.raises(EmbeddingFormatError, match=str(path)):
+            with pytest.raises(EmbeddingFormatError, match=str(path)) as caught:
                 read_embeddings(path)
+            return type(caught.value)
 
         for trial in range(6):
             n, dim = int(rng.integers(2, 5)), int(rng.integers(1, 4))
@@ -111,8 +115,9 @@ class TestEmbeddingFile:
             write_embeddings(EmbeddingMatrix(
                 ids, rng.normal(size=(n, dim)).astype(np.float32)), path)
             blob = path.read_bytes()
-            for cut in range(len(blob)):
-                rejected(blob[:cut])
+            for cut in range(len(blob)):  # no magic inside the 16-byte header
+                expected = BadMagicError if cut < 16 else TruncatedPayloadError
+                assert rejected(blob[:cut]) is expected, cut
             starts = [16 + 4 + i * (4 + len(ids[0])) for i in range(n)]
             bad = bytearray(blob)
             bad[starts[int(rng.integers(n))] + int(rng.integers(len(ids[0])))] = 0xFF
@@ -172,14 +177,20 @@ class TestSplit:
         assert split(ids, spec) == split(ids, spec)
 
     def test_partition_properties(self):
-        for n in range(3, 61):
-            ids = [f"m{i}" for i in range(n)]
-            train, val, test = split(ids, SplitSpec(seed=n))
+        rng = np.random.default_rng(5)
+        for n in [*range(0, 61), *rng.integers(61, 500, size=40)]:
+            ids = [f"m{i}" for i in rng.permutation(n)]
+            train_ratio = float(rng.uniform(0.05, 0.9))
+            val_ratio = float(rng.uniform(0.01, 0.99 - train_ratio))
+            spec = SplitSpec(train_ratio, val_ratio, 1.0 - train_ratio - val_ratio,
+                             seed=int(rng.integers(0, 2**32)))
+            train, val, test = split(ids, spec)
             parts = train + val + test
             assert sorted(parts) == sorted(ids)
             assert len(set(parts)) == n
-            assert len(val) == int(np.floor(n * 0.1 + 1e-9))
-            assert len(test) == int(np.floor(n * 0.2 + 1e-9))
+            assert len(val) == int(np.floor(n * spec.val_ratio + 1e-9))
+            assert len(test) == int(np.floor(n * spec.test_ratio + 1e-9))
+            assert split(ids, spec) == (train, val, test)
 
     def test_invalid_ratios_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from eventaug.ingest import (Corpus, CorpusError, attach_embeddings,
                              naive_entities, parse_corpus, temporal_features,
                              with_entities, write_corpus)
 
-from conftest import make_message
+from conftest import make_message, random_text
 
 
 def write_lines(path, objs):
@@ -205,18 +205,27 @@ class TestParseCorpus:
 
     def test_round_trip_random(self, tmp_path):
         rng = np.random.default_rng(3)
-        messages = []
-        for i in range(40):
-            messages.append(make_message(
-                f"m{i}", text=f"msg {i} body", user=f"u{int(rng.integers(5))}",
-                ts=int(rng.integers(1_500_000_000, 1_700_000_000)),
-                entities=[f"E{int(rng.integers(4))}"] if rng.random() < 0.5 else [],
-                location="here" if rng.random() < 0.3 else None,
-                label=int(rng.integers(3)) if rng.random() < 0.8 else None))
-        corpus = Corpus(messages=tuple(messages))
-        path = tmp_path / "rand.jsonl"
-        write_corpus(corpus, path)
-        assert parse_corpus(path) == corpus
+        path, again = tmp_path / "rand.jsonl", tmp_path / "again.jsonl"
+        for trial in range(25):
+            messages = []
+            for i in range(int(rng.integers(1, 40))):
+                originals = [m.id for m in messages if m.origin is None]
+                origin = None
+                if originals and rng.random() < 0.3:
+                    origin = Origin(random_text(rng, 1, 8),
+                                    originals[int(rng.integers(len(originals)))])
+                messages.append(make_message(
+                    f"m{i}-{random_text(rng, 0, 4)}", text=random_text(rng),
+                    user=random_text(rng, 0, 6), ts=int(rng.integers(-2**40, 2**40)),
+                    entities=[random_text(rng, 1, 6) for _ in range(int(rng.integers(0, 4)))],
+                    location=random_text(rng, 0, 6) if rng.random() < 0.3 else None,
+                    label=int(rng.integers(3)) if rng.random() < 0.8 else None,
+                    origin=origin))
+            corpus = Corpus(messages=tuple(messages))
+            write_corpus(corpus, path)
+            assert parse_corpus(path) == corpus, trial
+            write_corpus(parse_corpus(path), again)
+            assert again.read_bytes() == path.read_bytes()
 
 
 class TestNaiveEntities:

@@ -64,14 +64,17 @@ class TestEvaluate:
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(23)
-        golds = rng.integers(0, 3, size=30)
-        preds = rng.integers(0, 3, size=30)
-        base = evaluate(preds, golds, 3)
-        order = rng.permutation(30)
-        shuffled = evaluate(preds[order], golds[order], 3)
-        assert base.micro_f1 == shuffled.micro_f1
-        assert base.macro_f1 == shuffled.macro_f1
-        assert np.array_equal(base.confusion, shuffled.confusion)
+        for _ in range(200):
+            n, classes = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+            golds = rng.integers(0, classes, size=n)
+            preds = np.where(rng.random(size=n) < 0.6, golds,
+                             rng.integers(0, classes, size=n))
+            base = evaluate(preds, golds, classes)
+            order = rng.permutation(n)
+            shuffled = evaluate(preds[order], golds[order], classes)
+            assert base.micro_f1 == shuffled.micro_f1
+            assert base.macro_f1 == shuffled.macro_f1
+            assert np.array_equal(base.confusion, shuffled.confusion)
 
     def test_absent_class_excluded_from_macro(self):
         # class 2 never appears in gold or preds

@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eventaug.perturb import (METHODS, PerturbationConfig, _kept_bins, dataset_std,
-                              draw_mix, frequency_mask, mix_rows, perturb)
+from eventaug.perturb import (_BLOCK, METHODS, PerturbationConfig, _column_std, _kept_bins,
+                              dataset_std, draw_mix, frequency_mask, mix_rows, perturb)
 
 from test_acceptance import oracle_mask
 
@@ -68,6 +69,47 @@ class TestDatasetStd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dataset_std(np.zeros((0, 3)))
+
+    @staticmethod
+    def offset_rows(rng, n, dim, dtype):
+        scale = rng.uniform(0.01, 100.0, size=dim)
+        return (rng.normal(size=(n, dim)) * scale + rng.uniform(-1e4, 1e4)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_numpy_std(self, dtype):
+        rng = np.random.default_rng(20)
+        for dim in (2, 3, 17, 770, 1000):
+            step = _BLOCK // dim
+            for n in (1, step - 1, step, step + 1, 4 * step + 3):
+                x = self.offset_rows(rng, n, dim, dtype)
+                expect = np.asarray(x, np.float64).std(axis=0, ddof=0)
+                assert dataset_std(x).tobytes() == expect.tobytes(), (dim, n)
+        # a single column is summed in one block, as numpy sums it pairwise
+        for n in (1, 9, 1000, _BLOCK + 1):
+            x = self.offset_rows(rng, n, 1, dtype)
+            expect = np.asarray(x, np.float64).std(axis=0, ddof=0)
+            assert dataset_std(x).tobytes() == expect.tobytes(), n
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_indexed_equals_gathered_rows(self, dtype):
+        rng = np.random.default_rng(21)
+        for dim in (1, 5, 770):
+            n = 4 * (_BLOCK // dim) + 7 if dim > 1 else 500
+            x = self.offset_rows(rng, n, dim, dtype)
+            for rows in (np.sort(rng.choice(n, size=n // 3, replace=False)),
+                         rng.permutation(n), np.arange(n), np.array([n - 1])):
+                assert _column_std(x, rows).tobytes() == dataset_std(x[rows]).tobytes()
+
+    def test_float32_input_makes_no_float64_copy(self):
+        x = np.random.default_rng(22).normal(size=(2870, 770)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            dataset_std(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy alone would be 2 * x.nbytes
+        assert peak <= 0.5 * x.nbytes
 
 
 class TestGaussian:

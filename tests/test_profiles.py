@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -84,6 +85,15 @@ class TestResolution:
         assert config.seed == 123
         assert config.split.seed == 123
         assert config.train.seed == 123
+
+    @pytest.mark.parametrize("file_values,overrides,name", [
+        ({}, {"run": {"seed": -1}}, "seed"),
+        ({"run": {"seed": -2}}, {}, "seed"),
+        ({"split": {"seed": -5}}, {"run": {"seed": 3}}, "[split] seed"),
+    ], ids=["run-flag", "run-file", "split-file"])
+    def test_negative_seed_is_rejected(self, file_values, overrides, name):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be >= 0"):
+            resolve_config(file_values=file_values, overrides=overrides)
 
     def test_snapshot_is_deterministic(self):
         a = resolve_config(profile="twitter2018").snapshot_json()
