@@ -77,8 +77,7 @@ def dataset_std(matrix) -> np.ndarray:
     """Population standard deviation per dimension (divide by n), in float64.
 
     Computed once over the training-split fused embeddings, never per batch,
-    in row blocks (:func:`_column_std`), so no full-size float64 temporary
-    is made.
+    in row blocks, so no full-size float64 temporary is made.
     """
     values = np.asarray(matrix)
     if values.ndim != 2 or values.shape[0] < 1:
