@@ -5,8 +5,8 @@ Global flags (accepted before or after the command): --config, --profile,
 --seed, --out, --mock. Exit codes: 0 success, 2 config error, 3 provider
 exhaustion, 4 data degeneracy, 1 anything else.
 
-Every command writes resolved-config.json into the output directory so a
-run can be reproduced from its snapshot.
+Every command writes resolved-config.json into the output directory. It
+records the resolved parameters; --config reads INI only, not this file.
 """
 
 from __future__ import annotations
@@ -164,10 +164,18 @@ def _resolve(args) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _require_file(path, what: str) -> str:
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
-    return path
+def _check_paths(args, config: RunConfig) -> None:
+    """ConfigError for an input path that is not a file, and for an output
+    or cache directory that exists as something else."""
+    for key in ("corpus", "embeddings", "fused", "model_file"):
+        path = getattr(args, key, None)
+        if path is not None and not os.path.isfile(path):
+            problem = "is not a file" if os.path.exists(path) else "not found"
+            raise ConfigError(f"--{key.replace('_', '-')} {problem}: {path}")
+    cache_dir = config.cache_dir if args.command == "augment-text" else None
+    for flag, path in (("--out", config.out_dir), ("--cache-dir", cache_dir)):
+        if path and os.path.exists(path) and not os.path.isdir(path):
+            raise ConfigError(f"{flag} is not a directory: {path}")
 
 
 def _write_out(config: RunConfig, name: str, text: str) -> str:
@@ -185,9 +193,8 @@ def _write_snapshot(config: RunConfig, command: str) -> None:
 
 def _load_aligned(corpus_path, emb_path):
     """The corpus and its embedding rows in corpus order."""
-    corpus = parse_corpus(_require_file(corpus_path, "corpus"))
-    emb = read_embeddings(_require_file(emb_path, "embeddings"))
-    return corpus, attach_embeddings(corpus, emb)
+    corpus = parse_corpus(corpus_path)
+    return corpus, attach_embeddings(corpus, read_embeddings(emb_path))
 
 
 def _split_rows(corpus, spec):
@@ -223,7 +230,7 @@ def _training_rows(args, config: RunConfig):
 
 
 def cmd_augment_text(args, config: RunConfig) -> int:
-    corpus = with_entities(parse_corpus(_require_file(args.corpus, "corpus")))
+    corpus = with_entities(parse_corpus(args.corpus))
 
     mock = getattr(args, "mock", None)
     if mock:
@@ -263,10 +270,9 @@ def cmd_augment_text(args, config: RunConfig) -> int:
 
 
 def cmd_fuse(args, config: RunConfig) -> int:
-    corpus = with_entities(parse_corpus(_require_file(args.corpus, "corpus")))
+    corpus = with_entities(parse_corpus(args.corpus))
     # the file's matrix is freed once re-indexed, before fuse
-    aligned = attach_embeddings(
-        corpus, read_embeddings(_require_file(args.embeddings, "embeddings")))
+    aligned = attach_embeddings(corpus, read_embeddings(args.embeddings))
 
     g = graphmod.build_graph(corpus)
     fused = graphmod.fuse(g, aligned, corpus, config.fusion)
@@ -303,7 +309,7 @@ def cmd_train(args, config: RunConfig) -> int:
 
 def cmd_eval(args, config: RunConfig) -> int:
     corpus, emb = _load_aligned(args.corpus, args.fused)
-    model = load_model(_require_file(args.model_file, "model"))
+    model = load_model(args.model_file)
 
     train_rows, val_rows, test_rows = _split_rows(corpus, config.split)
     part = {"train": train_rows, "val": val_rows, "test": test_rows,
@@ -331,7 +337,7 @@ def cmd_ratio_study(args, config: RunConfig) -> int:
 
 
 def cmd_diagnose(args, config: RunConfig) -> int:
-    before = read_embeddings(_require_file(args.fused, "fused embeddings"))
+    before = read_embeddings(args.fused)
     if before.rows == 0:
         raise DegenerateDataError(f"{args.fused} holds no rows to diagnose")
     spec = config.perturbation
@@ -363,6 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve(args)
+        _check_paths(args, config)
         _write_snapshot(config, args.command)
         return _HANDLERS[args.command](args, config)
     except ConfigError as exc:

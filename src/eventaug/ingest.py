@@ -134,38 +134,25 @@ def _json_line(line: str):
 def parse_corpus(path) -> Corpus:
     """Parse a JSONL corpus, collecting every problem before failing.
 
-    Raises CorpusError listing malformed lines (with line numbers), lines
-    that are not a JSON object, fields missing or not of their JSON type,
-    lines that are not UTF-8 or whose strings are not UTF-8 text, duplicate
-    ids (citing both lines), and dangling augmented source ids.
+    A line ends at LF, CRLF or CR, as in text mode. Raises CorpusError
+    listing malformed lines (with line numbers), lines that are not a JSON
+    object, fields missing or not of their JSON type, lines that are not
+    UTF-8 or whose strings are not UTF-8 text, duplicate ids (citing both
+    lines), and dangling augmented source ids.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _parse_lines(enumerate(fh, start=1), [])
-    except UnicodeDecodeError:
-        pass
-    # Only a file that is not UTF-8 is read again, in bytes, to name its lines.
-    problems = []
     with open(path, "rb") as fh:
-        return _parse_lines(_utf8_lines(fh, problems), problems)
-
-
-def _utf8_lines(fh, problems):
-    """(line number, text) of each line of a binary file that decodes as
-    UTF-8; each line that does not becomes a problem."""
-    for line_no, raw in enumerate(fh, start=1):
+        data = fh.read()
+    messages = []
+    lines = []
+    problems = []
+    # bytes.splitlines ends lines where text mode does, unlike str.splitlines
+    for line_no, raw in enumerate(data.splitlines(), start=1):
         try:
-            yield line_no, raw.decode("utf-8")
+            line = raw.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
             problems.append(f"line {line_no}: byte {raw[exc.start]:#04x} at byte "
                             f"{exc.start + 1} of the line is not UTF-8")
-
-
-def _parse_lines(numbered_lines, problems) -> Corpus:
-    messages = []
-    lines = []
-    for line_no, line in numbered_lines:
-        line = line.strip()
+            continue
         if not line:
             continue
         try:

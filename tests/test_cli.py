@@ -558,3 +558,48 @@ class TestFlagRanges:
         assert exit_code(argv) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestPaths:
+    """An input path that is missing or not a file, and an --out or
+    --cache-dir that names a file, exit 2 before any file is written."""
+
+    @pytest.mark.parametrize("argv,problem", [
+        (["train", "--corpus", "missing.jsonl", "--fused", "{fused}"],
+         "--corpus not found: missing.jsonl"),
+        (["diagnose", "--fused", "missing.sedemb"], "--fused not found: missing.sedemb"),
+        (["train", "--corpus", "{dir}", "--fused", "{fused}"], "--corpus is not a file"),
+        (["ratio-study", "--corpus", "{corpus}", "--fused", "{dir}"],
+         "--fused is not a file"),
+        (["fuse", "--corpus", "{corpus}", "--embeddings", "{dir}"],
+         "--embeddings is not a file"),
+        (["eval", "--corpus", "{corpus}", "--fused", "{fused}", "--model-file", "{dir}"],
+         "--model-file is not a file"),
+        (["augment-text", "--corpus", "{corpus}", "--mock", "--cache-dir", "{file}"],
+         "--cache-dir is not a directory"),
+    ], ids=["missing-corpus", "missing-fused", "corpus-dir", "fused-dir",
+            "embeddings-dir", "model-dir", "cache-dir-file"])
+    def test_bad_path_is_config_error(self, tmp_path, monkeypatch, capsys, argv,
+                                      problem):
+        corpus_path, fused_path = write_train_fixture(tmp_path)
+        (tmp_path / "a-dir").mkdir()
+        (tmp_path / "a-file").write_text("kept")
+        monkeypatch.chdir(tmp_path)
+        places = {"corpus": corpus_path, "fused": fused_path, "dir": "a-dir",
+                  "file": "a-file"}
+        out = tmp_path / "out"
+        argv = [arg.format(**places) for arg in argv] + ["--out", str(out)]
+        assert exit_code(argv) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+        assert (tmp_path / "a-file").read_text() == "kept"
+
+    def test_out_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        _, fused_path = write_train_fixture(tmp_path)
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert exit_code(["diagnose", "--fused", fused_path, "--out", str(out)]) == 2
+        assert f"--out is not a directory: {out}" in capsys.readouterr().err
+        assert out.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus.jsonl", "fused.sedemb", "out"]

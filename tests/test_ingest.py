@@ -137,6 +137,53 @@ class TestParseCorpus:
         assert parse_corpus(path).ids() == ["m1", "m2"]
         assert len(calls) == 1
 
+    def test_line_ends_give_the_same_result(self, tmp_path):
+        """A corpus gives the same messages, or the same problems, whether
+        its lines end in LF, CRLF or CR, with or without a line that is not
+        UTF-8; that line's problem names it by the same line number."""
+        kinds = {
+            "valid": lambda i, ids: line(f"m{i}"),
+            "bad-json": lambda i, ids: '{"id": "m%d", "text": ' % i,
+            "not-object": lambda i, ids: "[1]",
+            "bad-type": lambda i, ids: line(f"m{i}", timestamp="1"),
+            "surrogate": lambda i, ids: line(f"m{i}", text="storm \ud83d"),
+            "duplicate": lambda i, ids: line(ids[-1] if ids else "m0"),
+            "dangling": lambda i, ids: line(f"m{i}", origin={
+                "strategy": "paraphrase", "source_id": "gone"}),
+            "blank": lambda i, ids: "  ",
+        }
+        latin1 = json.dumps(line("mx", text="caf\u00e9"), ensure_ascii=False)
+        latin1 = latin1.encode("latin-1")
+        bad_at = latin1.index(b"\xe9") + 1
+        path = tmp_path / "ends.jsonl"
+
+        def parse(lines, end):
+            path.write_bytes(b"".join(raw + end for raw in lines))
+            try:
+                return parse_corpus(path)
+            except CorpusError as exc:
+                return exc.problems
+
+        rng = np.random.default_rng(7)
+        seen = set()
+        for trial in range(120):
+            lines, ids = [], []
+            for i in range(int(rng.integers(1, 8))):
+                kind = list(kinds)[int(rng.integers(len(kinds)))]
+                obj = kinds[kind](i, ids)
+                if kind == "valid":
+                    ids.append(obj["id"])
+                seen.add(kind)
+                lines.append((obj if isinstance(obj, str) else json.dumps(obj)).encode())
+            at = int(rng.integers(len(lines) + 1))
+            for broken in (lines, lines[:at] + [latin1] + lines[at:]):
+                results = [parse(broken, end) for end in (b"\n", b"\r\n", b"\r")]
+                assert results[1] == results[0] and results[2] == results[0], trial
+                if broken is not lines:
+                    assert (f"line {at + 1}: byte 0xe9 at byte {bad_at} of the line "
+                            "is not UTF-8") in results[0], trial
+        assert seen == set(kinds)
+
     def test_every_problem_in_one_error(self, tmp_path):
         path = tmp_path / "two.jsonl"
         path.write_text(json.dumps(line("m1")) + "\n{not json\n" + json.dumps(
