@@ -164,15 +164,31 @@ def _resolve(args) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _augment_outputs(args, config: RunConfig) -> tuple[str, str]:
+    """``augment-text``'s cache directory and output corpus path."""
+    return (config.cache_dir or os.path.join(config.out_dir, "cache"),
+            args.out_corpus or os.path.join(config.out_dir, "augmented.jsonl"))
+
+
 def _check_paths(args, config: RunConfig) -> None:
-    """ConfigError for an input path that is not a file, and for an output
-    or cache directory that exists as something else."""
+    """ConfigError for an input path that is not a file, for an output
+    path that exists as something else or lies in a missing directory
+    (--out is made later), and for an ``augment-text`` run with no provider."""
     for key in ("corpus", "embeddings", "fused", "model_file"):
         path = getattr(args, key, None)
         if path is not None and not os.path.isfile(path):
             problem = "is not a file" if os.path.exists(path) else "not found"
             raise ConfigError(f"--{key.replace('_', '-')} {problem}: {path}")
-    cache_dir = config.cache_dir if args.command == "augment-text" else None
+    cache_dir = None
+    if args.command == "augment-text":
+        if not getattr(args, "mock", None) and not config.provider.endpoint:
+            raise ConfigError("no provider endpoint; pass --endpoint or --mock")
+        cache_dir, out_corpus = _augment_outputs(args, config)
+        if os.path.isdir(out_corpus):
+            raise ConfigError(f"--out-corpus is a directory: {out_corpus}")
+        parent = os.path.abspath(os.path.dirname(out_corpus))
+        if not os.path.isdir(parent) and parent != os.path.abspath(config.out_dir):
+            raise ConfigError(f"--out-corpus is in a missing directory: {out_corpus}")
     for flag, path in (("--out", config.out_dir), ("--cache-dir", cache_dir)):
         if path and os.path.exists(path) and not os.path.isdir(path):
             raise ConfigError(f"{flag} is not a directory: {path}")
@@ -237,24 +253,23 @@ def cmd_augment_text(args, config: RunConfig) -> int:
         provider = _MOCKS[mock]()
         model_name = f"mock:{mock}"
     else:
-        if not config.provider.endpoint:
-            raise ConfigError("no provider endpoint; pass --endpoint or --mock")
         provider = HttpProvider(config.provider)
         model_name = config.provider.model
 
     source_ids = ({corpus.messages[i].id for i in _split_rows(corpus, config.split)[0]}
                   if args.train_only else None)
 
+    cache_dir, out_path = _augment_outputs(args, config)
+    # the mocks are Python work under the interpreter lock: threads only contend
     result = augment_corpus(
         corpus, config.strategies, provider,
-        cache_dir=config.cache_dir or os.path.join(config.out_dir, "cache"),
+        cache_dir=cache_dir,
         copies_per_strategy=config.copies,
         source_ids=source_ids,
-        max_in_flight=config.provider.max_in_flight,
+        max_in_flight=1 if mock else config.provider.max_in_flight,
         model_name=model_name,
         temperature=config.provider.temperature)
 
-    out_path = args.out_corpus or os.path.join(config.out_dir, "augmented.jsonl")
     write_corpus(result.corpus, out_path)
     print(f"originals={result.originals} generated={result.generated} "
           f"skipped={result.skipped} cache_hits={result.cache_hits} "

@@ -208,10 +208,7 @@ def write_corpus(corpus: Corpus, path) -> None:
 
 
 _HASHTAG = re.compile(r"#(\w+)")
-
-
-def _strip_token(token: str) -> str:
-    return token.strip("\"'.,;:!?()[]{}<>#@&*~`|\\/")
+_PUNCTUATION = "\"'.,;:!?()[]{}<>#@&*~`|\\/"
 
 
 def naive_entities(text: str) -> list[str]:
@@ -222,35 +219,22 @@ def naive_entities(text: str) -> list[str]:
     Deduplicated case-insensitively, first casing and first occurrence
     order preserved. Pure and deterministic.
     """
-    entities: list[str] = []
-    seen: set[str] = set()
-
-    def emit(entity: str):
-        key = entity.lower()
-        if key not in seen:
-            seen.add(key)
-            entities.append(entity)
-
-    run: list[str] = []
-
-    def flush_run():
+    found, run = [], []
+    for token in text.split() + ["#"]:  # the "#" sentinel ends the last run
+        word = token.strip(_PUNCTUATION)
+        if not token.startswith("#") and word[:1].isalpha() and word[:1].isupper():
+            run.append(word)
+            continue
         if run:
-            emit(" ".join(run))
-            run.clear()
-
-    for token in text.split():
-        stripped = _strip_token(token)
-        if token.startswith("#"):
-            flush_run()
-            m = _HASHTAG.match(token)
-            if m:
-                emit(m.group(1))
-        elif stripped and stripped[0].isalpha() and stripped[0].isupper():
-            run.append(stripped)
-        else:
-            flush_run()
-    flush_run()
-    return entities
+            found.append(" ".join(run))
+            run = []
+        hashtag = _HASHTAG.match(token)
+        if hashtag:
+            found.append(hashtag.group(1))
+    firsts = {}
+    for entity in found:
+        firsts.setdefault(entity.lower(), entity)
+    return list(firsts.values())
 
 
 def with_entities(corpus: Corpus) -> Corpus:

@@ -1,5 +1,6 @@
 import gc
 import json
+import threading
 import weakref
 from dataclasses import fields
 
@@ -11,9 +12,10 @@ from eventaug.classify import load_model
 from eventaug.cli import main
 from eventaug.core import (EmbeddingMatrix, SplitSpec, read_embeddings, split,
                            write_embeddings)
-from eventaug.ingest import Corpus, parse_corpus, write_corpus
+from eventaug.ingest import Corpus, parse_corpus, with_entities, write_corpus
 from eventaug.perturb import PerturbationConfig
-from eventaug.profiles import config_keys
+from eventaug.profiles import config_keys, resolve_config
+from eventaug.textaug import ShuffleProvider, augment_corpus
 
 from conftest import make_message
 
@@ -199,6 +201,37 @@ class TestAugmentText:
         rc = main(["augment-text", "--corpus", corpus_path,
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_mock_calls_its_provider_in_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = []
+        complete = ShuffleProvider.complete
+
+        def recording(provider, prompt):
+            threads.append(threading.current_thread())
+            return complete(provider, prompt)
+
+        monkeypatch.setattr(ShuffleProvider, "complete", recording)
+        corpus_path, _ = write_train_fixture(tmp_path, n=10)
+        out = tmp_path / "run"
+        assert main(["augment-text", "--corpus", corpus_path, "--mock", "shuffle",
+                     "--out", str(out)]) == 0
+        assert len(threads) == 50 and set(threads) == {threading.current_thread()}
+        config = resolve_config()
+        pooled = augment_corpus(with_entities(parse_corpus(corpus_path)),
+                                config.strategies, ShuffleProvider(),
+                                copies_per_strategy=config.copies, max_in_flight=4,
+                                model_name="mock:shuffle",
+                                temperature=config.provider.temperature)
+        write_corpus(pooled.corpus, tmp_path / "pooled.jsonl")
+        assert (out / "augmented.jsonl").read_bytes() == \
+            (tmp_path / "pooled.jsonl").read_bytes()
+
+    def test_out_corpus_may_lie_in_the_new_out_directory(self, tmp_path):
+        corpus_path, _ = write_train_fixture(tmp_path, n=4)
+        out = tmp_path / "run"
+        assert main(["augment-text", "--corpus", corpus_path, "--mock",
+                     "--out", str(out), "--out-corpus", str(out / "aug.jsonl")]) == 0
+        assert len(parse_corpus(out / "aug.jsonl")) == 4 * 6
 
     def test_unreachable_provider_exhausts(self, tmp_path):
         corpus_path, _ = write_train_fixture(tmp_path, n=3)
@@ -603,3 +636,29 @@ class TestPaths:
         assert out.read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "corpus.jsonl", "fused.sedemb", "out"]
+
+    @pytest.mark.parametrize("argv,problem", [
+        ([], "no provider endpoint; pass --endpoint or --mock"),
+        (["--mock", "--out-corpus", "a-dir"], "--out-corpus is a directory: a-dir"),
+        (["--mock", "--out-corpus", "missing/x.jsonl"],
+         "--out-corpus is in a missing directory: missing/x.jsonl"),
+        (["--mock"], "--cache-dir is not a directory: out/cache"),
+    ], ids=["no-endpoint", "out-corpus-dir", "out-corpus-missing-dir",
+            "default-cache-file"])
+    def test_augment_text_checks_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                 argv, problem):
+        calls = record_prompts(monkeypatch)
+        monkeypatch.setattr(cli, "HttpProvider", lambda config: calls.append(config))
+        corpus_path, _ = write_train_fixture(tmp_path)
+        (tmp_path / "a-dir").mkdir()
+        (tmp_path / "out").mkdir()
+        if "cache" in problem:
+            (tmp_path / "out" / "cache").write_text("kept")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert exit_code(["augment-text", "--corpus", corpus_path, "--out", "out",
+                          *argv]) == 2
+        assert problem in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == before
+        assert list((tmp_path / "a-dir").iterdir()) == []

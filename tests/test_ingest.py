@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -305,6 +307,46 @@ class TestNaiveEntities:
     def test_punctuation_stripped(self):
         assert naive_entities("It happened in Paris, yesterday") == \
             ["It", "Paris"]
+
+    def test_matches_a_token_oracle(self):
+        """Seeded token mixes against an oracle that classifies each token,
+        groups consecutive capitalized words, then keeps each entity's
+        first casing."""
+        punctuation = "\"'.,;:!?()[]{}<>#@&*~`|\\/"
+
+        def kind(token):
+            if token.startswith("#"):
+                return "hashtag"
+            word = token.strip(punctuation)
+            return "capital" if word and word[0].isalpha() and word[0].isupper() \
+                else "other"
+
+        def oracle(text):
+            found = []
+            for token_kind, group in itertools.groupby(text.split(), kind):
+                tokens = list(group)
+                if token_kind == "capital":
+                    found.append(" ".join(t.strip(punctuation) for t in tokens))
+                elif token_kind == "hashtag":
+                    found += [m.group(1) for m in (re.match(r"#(\w+)", t) for t in tokens)
+                              if m]
+            kept = []
+            for entity in found:
+                if entity.lower() not in [e.lower() for e in kept]:
+                    kept.append(entity)
+            return kept
+
+        tokens = ["#", "##x", "#!", "#Foo", "#foo", "#1", "#É", "#Sydney,", "Foo", "foo",
+                  "FOO", "É", "ǅ", "İ", "İstanbul", "istanbul", "Straße", "STRASSE",
+                  "\"Quoted\"", "'Paris'", "(Bondi)", "Beach,", "@Alice", "@user", "1st",
+                  "A", "a", ".", "!!", "Ωmega", "ωmega", "x#Y", "Ab#cd", "日本"]
+        separators = [" ", "  ", "\t", "\n", "\u00a0", "\r\n"]
+        rng = np.random.default_rng(23)
+        for trial in range(3000):
+            n = int(rng.integers(0, 14))
+            text = "".join(tokens[i] + separators[j] for i, j in zip(
+                rng.integers(0, len(tokens), n), rng.integers(0, len(separators), n)))
+            assert naive_entities(text) == oracle(text), (trial, text)
 
 
 class TestWithEntities:
